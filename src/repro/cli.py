@@ -26,6 +26,7 @@ from repro.harness import export as ex_csv
 from repro.harness.runner import run_workload
 from repro.metrics.chart import bar_chart
 from repro.metrics.report import format_table
+from repro.sim.backends import ENGINE_BACKENDS
 from repro.workloads.registry import list_workloads
 
 # name -> (experiment fn, renderer, csv exporter or None)
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--full-size", action="store_true",
                        help="use the paper's full Table II GPU (slower)")
         p.add_argument("--engine-backend",
-                       choices=["heap", "ring", "compiled"],
+                       choices=ENGINE_BACKENDS,
                        default="heap",
                        help="event-core backend (results are byte-identical "
                             "on all of them; 'compiled' needs the optional "
@@ -343,11 +344,11 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--no-save", action="store_true",
                          help="measure and print without writing a file")
     bench_p.add_argument("--engine-backend",
-                         choices=["heap", "ring", "compiled"],
+                         choices=ENGINE_BACKENDS,
                          default="heap",
                          help="event-core backend every case runs on (the "
-                              "ring_vs_heap and compiled_vs_python cases "
-                              "always measure both of their backends)")
+                              "compiled_vs_python cases always measure both "
+                              "of their backends)")
     return parser
 
 
@@ -751,15 +752,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # Fail fast on an unknown backend or an unbuilt compiled extension
     # (covers the --engine-backend flag and the env override alike).
     resolve_backend(args.engine_backend)
+    previous = os.environ.get(BACKEND_ENV)
     if args.engine_backend != "heap":
         # Suite cases build their own configs; the env override reaches
-        # them all (and any subprocesses the batch baseline spawns).
+        # them all.  It is restored afterwards so later calls in this
+        # process run on the backend they ask for.
         os.environ[BACKEND_ENV] = args.engine_backend
-
-    report = run_bench(
-        quick=args.quick, repeats=args.repeat, label=args.label,
-        progress=lambda name: print(f"  running {name} ...", file=sys.stderr),
-    )
+    try:
+        report = run_bench(
+            quick=args.quick, repeats=args.repeat, label=args.label,
+            progress=lambda name: print(f"  running {name} ...",
+                                        file=sys.stderr),
+        )
+    finally:
+        if previous is None:
+            os.environ.pop(BACKEND_ENV, None)
+        else:
+            os.environ[BACKEND_ENV] = previous
     print(report.render())
     saved = None
     if not args.no_save:

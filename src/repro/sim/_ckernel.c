@@ -594,8 +594,8 @@ core_post(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
 
 /* _sched(now, time, callback, args): the access path's clamp-to-present
  * scheduling site — a priority-0 entry at max(time, now), routed to the
- * lane when clamped and to the heap otherwise.  Equivalent to the
- * oracle's inlined `t if t > now else now` + lane/heap branch. */
+ * lane when clamped and to the heap otherwise.  Same routing as the
+ * oracle's EventQueue._sched. */
 static PyObject *
 core_sched(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
 {

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from heapq import heappush as _heappush
 from typing import Any, Callable, Optional
 
 _POOL_MAX = 4096
@@ -58,11 +59,8 @@ class Event:
         cancelled: When True the event is skipped at fire time.
     """
 
-    # ``_ridx`` is the ring backend's slot index (set only when the event
-    # was scheduled through an EventRing; unset slots pickle away cleanly).
     __slots__ = (
         "time", "priority", "seq", "callback", "args", "cancelled", "_queue",
-        "_ridx",
     )
 
     def __init__(
@@ -144,10 +142,9 @@ class EventQueue:
     def _note_cancel(self, event: Optional[Event] = None) -> None:
         """A live event was cancelled (called from :meth:`Event.cancel`).
 
-        ``event`` identifies the cancelled handle; the heap backend does
-        not need it (liveness is re-read from the handle at pop time) but
-        the ring backend uses it to flag the slot, so the signature is
-        shared.
+        ``event`` identifies the cancelled handle.  The heap queue does
+        not need it (liveness is re-read from the handle at pop time);
+        the signature is shared with the compiled core's.
         """
         self._live -= 1
         cancelled = self._cancelled + 1
@@ -224,6 +221,35 @@ class EventQueue:
             event.seq = seq
             event._queue = self
         self._lane.append(entry)
+        self._live += 1
+
+    def _sched(self, now, time, callback, args) -> None:
+        """Priority-0 ``callback(*args)`` at ``max(time, now)`` (hot path).
+
+        The access path's one scheduling call: a ``time`` at or before
+        ``now`` is clamped to the present and goes to the same-cycle lane,
+        a later one to the heap.  The compiled core's ``_sched`` has the
+        same signature and routing.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        pool = self._pool
+        later = time > now
+        if not later:
+            time = now
+        if pool:
+            entry = pool.pop()
+            entry[0] = time
+            entry[1] = 0
+            entry[2] = seq
+            entry[3] = callback
+            entry[4] = args
+        else:
+            entry = [time, 0, seq, callback, args, None]
+        if later:
+            _heappush(self._heap, entry)
+        else:
+            self._lane.append(entry)
         self._live += 1
 
     # ------------------------------------------------------------------

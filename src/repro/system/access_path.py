@@ -29,11 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.interconnect.link import CPU_PORT
-from heapq import heappush as _heappush
-
 from repro.mem.access import AccessKind, MemoryTransaction
-from repro.sim.compiled import CompiledQueue
-from repro.sim.ring import EventRing
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system.machine import Machine
@@ -47,7 +43,9 @@ class MemoryAccessPath:
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self._engine = machine.engine
-        self._equeue = machine.engine._queue
+        # Every leg schedules through the backend queue's one clamp-and-
+        # route call: priority 0 at max(time, now), lane when clamped.
+        self._sched = machine.engine._queue._sched
         self._page_shift = machine.config.page_size.bit_length() - 1
         self._l1_tlb_latency = machine.config.gpu.l1_tlb.latency
         self._l2_tlb_latency = machine.config.gpu.l2_tlb.latency
@@ -65,21 +63,6 @@ class MemoryAccessPath:
         # by gpu_id / cu_id).  The GPUs are built after this object — each
         # receives ``issue`` as its issue_fn — so the tables are filled
         # lazily on the first transaction.
-        self._push_entry = machine.engine._queue.push_entry
-        self._push_lane = machine.engine._queue.push_lane
-        # Non-None iff the machine runs the ring backend: the inlined
-        # scheduling sites below branch to ring._place instead of building
-        # heap entries (the heap internals they poke do not exist there).
-        self._ringq = self._equeue if isinstance(self._equeue, EventRing) else None
-        # Non-None iff the machine runs the compiled backend: the same
-        # sites branch to the C core's _sched/push_entry, which do the
-        # whole clamp-and-route entry build in one call.
-        self._cq = (
-            self._equeue
-            if CompiledQueue is not None
-            and isinstance(self._equeue, CompiledQueue)
-            else None
-        )
         self._se_record: list = []
         self._note: list = []
         self._l1: list = []
@@ -114,15 +97,6 @@ class MemoryAccessPath:
             self._l2.append(gpu.l2_tlb)
             self._hier.append(gpu.hierarchy)
             self._rdma_service.append(gpu.rdma.service)
-
-    def _at(self, time: float, callback: Callable, *args) -> None:
-        """Schedule a leg at ``time`` (clamped to the present)."""
-        engine = self._engine
-        now = engine._now
-        if time <= now:
-            self._equeue.push_lane(now, callback, args)
-        else:
-            self._equeue.push_entry(time, 0, callback, args)
 
     # ------------------------------------------------------------------
     # Issue side (called synchronously by CUs)
@@ -171,31 +145,7 @@ class MemoryAccessPath:
             hit = l1_tlb.lookup(page)
         if hit:
             self.l1_tlb_hits += 1
-            # t > now always (positive TLB latency): straight to the heap
-            # (entry build inlined; this is the hottest schedule site).
-            ringq = self._ringq
-            if ringq is not None:
-                ringq._place(t, 0, self._local_leg, (txn, on_complete), None)
-                return
-            cq = self._cq
-            if cq is not None:
-                cq.push_entry(t, 0, self._local_leg, (txn, on_complete))
-                return
-            q = self._equeue
-            seq = q._seq
-            q._seq = seq + 1
-            pool = q._pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = t
-                entry[1] = 0
-                entry[2] = seq
-                entry[3] = self._local_leg
-                entry[4] = (txn, on_complete)
-            else:
-                entry = [t, 0, seq, self._local_leg, (txn, on_complete), None]
-            _heappush(q._heap, entry)
-            q._live += 1
+            self._sched(now, t, self._local_leg, (txn, on_complete))
             return
         t += self._l2_tlb_latency
         l2_tlb = self._l2[gpu_id]
@@ -207,29 +157,7 @@ class MemoryAccessPath:
         if hit:
             self.l2_tlb_hits += 1
             l1_tlb.insert(page, gpu_id)
-            ringq = self._ringq
-            if ringq is not None:
-                ringq._place(t, 0, self._local_leg, (txn, on_complete), None)
-                return
-            cq = self._cq
-            if cq is not None:
-                cq.push_entry(t, 0, self._local_leg, (txn, on_complete))
-                return
-            q = self._equeue
-            seq = q._seq
-            q._seq = seq + 1
-            pool = q._pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = t
-                entry[1] = 0
-                entry[2] = seq
-                entry[3] = self._local_leg
-                entry[4] = (txn, on_complete)
-            else:
-                entry = [t, 0, seq, self._local_leg, (txn, on_complete), None]
-            _heappush(q._heap, entry)
-            q._live += 1
+            self._sched(now, t, self._local_leg, (txn, on_complete))
             return
         self.iommu_trips += 1
         self.machine.iommu.translate(txn, t, on_complete)
@@ -254,14 +182,16 @@ class MemoryAccessPath:
             reply = self._reply_time(self._engine._now, txn.gpu_id)
             self._l2[txn.gpu_id].insert(txn.page, location)
             self._l1[txn.gpu_id][txn.cu_id].insert(txn.page, location)
-            self._at(reply, self._local_leg, txn, on_complete)
+            self._sched(self._engine._now, reply, self._local_leg,
+                        (txn, on_complete))
             return
         if location >= 0:
             # Remote GPU: physical address returned but never cached.
             reply = self._reply_time(self._engine._now, txn.gpu_id)
             if txn.kind is None:
                 txn.kind = AccessKind.REMOTE_DCA
-            self._at(reply, self._remote_request_leg, txn, location, on_complete)
+            self._sched(self._engine._now, reply, self._remote_request_leg,
+                        (txn, location, on_complete))
             return
         self.machine.driver.handle_cpu_fault(txn, self._engine._now, on_complete)
 
@@ -270,7 +200,8 @@ class MemoryAccessPath:
     # ------------------------------------------------------------------
 
     def _finish(self, txn: MemoryTransaction, finish_time: float, on_complete: Callable) -> None:
-        self._at(finish_time, on_complete, txn, finish_time)
+        self._sched(self._engine._now, finish_time, on_complete,
+                    (txn, finish_time))
 
     def _local_leg(self, txn: MemoryTransaction, on_complete: Callable) -> None:
         if txn.kind is None:
@@ -279,35 +210,7 @@ class MemoryAccessPath:
         finish = self._hier[txn.gpu_id].local_access(
             self._engine._now, txn.cu_id, txn.address, txn.is_write
         )
-        now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(finish if finish > now else now, 0, on_complete,
-                         (txn, finish), None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, finish, on_complete, (txn, finish))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = finish if finish > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = on_complete
-            entry[4] = (txn, finish)
-        else:
-            entry = [finish if finish > now else now, 0, seq, on_complete,
-                     (txn, finish), None]
-        if finish <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        self._sched(self._engine._now, finish, on_complete, (txn, finish))
 
     def _remote_request_leg(self, txn: MemoryTransaction, owner: int, on_complete: Callable) -> None:
         hierarchy = self._hier[txn.gpu_id]
@@ -317,35 +220,7 @@ class MemoryAccessPath:
             if hit >= 0:
                 txn.kind = AccessKind.REMOTE_CACHE
                 self._kc[id(AccessKind.REMOTE_CACHE)] += 1
-                now = self._engine._now
-                ringq = self._ringq
-                if ringq is not None:
-                    ringq._place(hit if hit > now else now, 0, on_complete,
-                                 (txn, hit), None)
-                    return
-                cq = self._cq
-                if cq is not None:
-                    cq._sched(now, hit, on_complete, (txn, hit))
-                    return
-                q = self._equeue
-                seq = q._seq
-                q._seq = seq + 1
-                pool = q._pool
-                if pool:
-                    entry = pool.pop()
-                    entry[0] = hit if hit > now else now
-                    entry[1] = 0
-                    entry[2] = seq
-                    entry[3] = on_complete
-                    entry[4] = (txn, hit)
-                else:
-                    entry = [hit if hit > now else now, 0, seq, on_complete,
-                             (txn, hit), None]
-                if hit <= now:
-                    q._lane.append(entry)
-                else:
-                    _heappush(q._heap, entry)
-                q._live += 1
+                self._sched(self._engine._now, hit, on_complete, (txn, hit))
                 return
         elif hierarchy.remote_cache is not None:
             # Remote write: any locally cached copy becomes stale.
@@ -354,73 +229,15 @@ class MemoryAccessPath:
         arrive = self._fabric_transfer(
             self._engine._now, txn.gpu_id, owner, DATA_MSG_BYTES
         )
-        now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(arrive if arrive > now else now, 0,
-                         self._remote_service_leg, (txn, owner, on_complete),
-                         None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, arrive, self._remote_service_leg,
-                      (txn, owner, on_complete))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = arrive if arrive > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = self._remote_service_leg
-            entry[4] = (txn, owner, on_complete)
-        else:
-            entry = [arrive if arrive > now else now, 0, seq,
-                     self._remote_service_leg, (txn, owner, on_complete), None]
-        if arrive <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        self._sched(self._engine._now, arrive, self._remote_service_leg,
+                    (txn, owner, on_complete))
 
     def _remote_service_leg(self, txn: MemoryTransaction, owner: int, on_complete: Callable) -> None:
         served = self._rdma_service[owner](
             self._engine._now, txn.address, txn.is_write
         )
-        now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(served if served > now else now, 0,
-                         self._remote_response_leg, (txn, owner, on_complete),
-                         None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, served, self._remote_response_leg,
-                      (txn, owner, on_complete))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = served if served > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = self._remote_response_leg
-            entry[4] = (txn, owner, on_complete)
-        else:
-            entry = [served if served > now else now, 0, seq,
-                     self._remote_response_leg, (txn, owner, on_complete), None]
-        if served <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        self._sched(self._engine._now, served, self._remote_response_leg,
+                    (txn, owner, on_complete))
 
     def _remote_response_leg(self, txn: MemoryTransaction, owner: int, on_complete: Callable) -> None:
         arrive = self._fabric_transfer(
@@ -428,145 +245,36 @@ class MemoryAccessPath:
         )
         if not txn.is_write:
             self._hier[txn.gpu_id].remote_cache_fill(txn.address)
-        now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(arrive if arrive > now else now, 0, on_complete,
-                         (txn, arrive), None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, arrive, on_complete, (txn, arrive))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = arrive if arrive > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = on_complete
-            entry[4] = (txn, arrive)
-        else:
-            entry = [arrive if arrive > now else now, 0, seq, on_complete,
-                     (txn, arrive), None]
-        if arrive <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        self._sched(self._engine._now, arrive, on_complete, (txn, arrive))
 
     # CPU DCA (DFTM denial path) -----------------------------------------
 
     def cpu_dca_access(self, txn: MemoryTransaction, start: float, on_complete: Callable) -> None:
         """DCA to CPU memory; ``start`` is when the translation reply lands."""
         self._kc[id(AccessKind.CPU_DCA)] += 1
-        self._at(start, self._cpu_request_leg, txn, on_complete)
+        self._sched(self._engine._now, start, self._cpu_request_leg,
+                    (txn, on_complete))
 
     def _cpu_request_leg(self, txn: MemoryTransaction, on_complete: Callable) -> None:
         arrive = self._fabric_transfer(
             self._engine._now, txn.gpu_id, CPU_PORT, DATA_MSG_BYTES
         )
-        now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(arrive if arrive > now else now, 0,
-                         self._cpu_service_leg, (txn, on_complete), None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, arrive, self._cpu_service_leg, (txn, on_complete))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = arrive if arrive > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = self._cpu_service_leg
-            entry[4] = (txn, on_complete)
-        else:
-            entry = [arrive if arrive > now else now, 0, seq,
-                     self._cpu_service_leg, (txn, on_complete), None]
-        if arrive <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        self._sched(self._engine._now, arrive, self._cpu_service_leg,
+                    (txn, on_complete))
 
     def _cpu_service_leg(self, txn: MemoryTransaction, on_complete: Callable) -> None:
         served = (
             self._cpu_memory.acquire(self._engine._now, DATA_MSG_BYTES)
             + self._cpu_mem_latency
         )
-        now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(served if served > now else now, 0,
-                         self._cpu_response_leg, (txn, on_complete), None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, served, self._cpu_response_leg, (txn, on_complete))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = served if served > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = self._cpu_response_leg
-            entry[4] = (txn, on_complete)
-        else:
-            entry = [served if served > now else now, 0, seq,
-                     self._cpu_response_leg, (txn, on_complete), None]
-        if served <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        self._sched(self._engine._now, served, self._cpu_response_leg,
+                    (txn, on_complete))
 
     def _cpu_response_leg(self, txn: MemoryTransaction, on_complete: Callable) -> None:
         arrive = self._fabric_transfer(
             self._engine._now, CPU_PORT, txn.gpu_id, DATA_MSG_BYTES
         )
-        now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(arrive if arrive > now else now, 0, on_complete,
-                         (txn, arrive), None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, arrive, on_complete, (txn, arrive))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = arrive if arrive > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = on_complete
-            entry[4] = (txn, arrive)
-        else:
-            entry = [arrive if arrive > now else now, 0, seq, on_complete,
-                     (txn, arrive), None]
-        if arrive <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        self._sched(self._engine._now, arrive, on_complete, (txn, arrive))
 
     # Post-migration routing ----------------------------------------------
 
@@ -580,16 +288,19 @@ class MemoryAccessPath:
             self._l1[txn.gpu_id][txn.cu_id].insert(txn.page, location)
             if txn.kind is None:
                 txn.kind = AccessKind.FAULT_MIGRATE
-            self._at(start, self._local_leg, txn, on_complete)
+            self._sched(self._engine._now, start, self._local_leg,
+                        (txn, on_complete))
             return
         if location >= 0:
             txn.kind = AccessKind.REMOTE_DCA
-            self._at(start, self._remote_request_leg, txn, location, on_complete)
+            self._sched(self._engine._now, start, self._remote_request_leg,
+                        (txn, location, on_complete))
             return
         # Still CPU-resident (page bounced back); serve via CPU DCA.
         txn.kind = AccessKind.CPU_DCA
         self._kc[id(AccessKind.CPU_DCA)] += 1
-        self._at(start, self._cpu_request_leg, txn, on_complete)
+        self._sched(self._engine._now, start, self._cpu_request_leg,
+                    (txn, on_complete))
 
     # ------------------------------------------------------------------
 

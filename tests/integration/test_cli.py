@@ -87,25 +87,58 @@ def test_validate_subset(capsys):
     assert code in (0, 1)  # a subset may not satisfy suite-wide claims
 
 
-def test_run_engine_backend_ring_matches_heap(capsys):
-    """--engine-backend ring must produce byte-identical CLI output."""
-    argv = ["run", "MT", "--policy", "griffin",
-            "--scale", "0.005", "--gpus", "2", "--seed", "5"]
-    assert main(argv) == 0
-    heap_out = capsys.readouterr().out
-    assert main(argv + ["--engine-backend", "ring"]) == 0
-    assert capsys.readouterr().out == heap_out
+def test_run_engine_backend_ring_exits_2(capsys):
+    """The retired ring core is no longer a --engine-backend choice."""
+    argv = ["run", "MT", "--scale", "0.005", "--gpus", "2", "--seed", "5",
+            "--engine-backend", "ring"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'ring'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--quick", "--engine-backend", "ring"])
+    assert exc.value.code == 2
 
 
 def test_bench_parser_accepts_label_and_backend():
     """`bench --label` names the report file; `--engine-backend` runs the
-    suite under the ring core (the ring-parity CI job uses both)."""
+    suite under the compiled core (the compiled-parity CI job uses both)."""
     from repro.cli import _build_parser
 
     args = _build_parser().parse_args(
-        ["bench", "--quick", "--label", "ring-ci",
-         "--engine-backend", "ring", "--baseline", "none"]
+        ["bench", "--quick", "--label", "compiled-ci",
+         "--engine-backend", "compiled", "--baseline", "none"]
     )
-    assert args.label == "ring-ci"
-    assert args.engine_backend == "ring"
+    assert args.label == "compiled-ci"
+    assert args.engine_backend == "compiled"
     assert args.quick
+
+
+@pytest.mark.parametrize("previous", [None, "heap"])
+def test_bench_restores_backend_env(monkeypatch, capsys, previous):
+    """`bench --engine-backend X` scopes its env override to the suite
+    run: later calls in the same process see the environment unchanged."""
+    import os
+
+    from repro.perf import bench
+    from repro.sim import backends
+
+    seen = []
+
+    def stub_run_bench(quick, repeats, label, progress):
+        seen.append(os.environ.get(backends.BACKEND_ENV))
+        return bench.BenchReport(
+            suite="stub", label=label, created="2026-01-01T00:00:00Z",
+            fingerprint="f00d", python="3", platform="test", repeats=1,
+        )
+
+    if previous is None:
+        monkeypatch.delenv(backends.BACKEND_ENV, raising=False)
+    else:
+        monkeypatch.setenv(backends.BACKEND_ENV, previous)
+    monkeypatch.setattr(backends, "compiled_available", lambda: True)
+    monkeypatch.setattr(bench, "run_bench", stub_run_bench)
+    assert main(["bench", "--engine-backend", "compiled", "--no-save",
+                 "--baseline", "none"]) == 0
+    assert seen == ["compiled"]
+    assert os.environ.get(backends.BACKEND_ENV) == previous

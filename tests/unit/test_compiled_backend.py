@@ -301,7 +301,7 @@ def test_resolve_backend_unknown_name_is_config_error(monkeypatch):
     monkeypatch.delenv(BACKEND_ENV, raising=False)
     with pytest.raises(ConfigError, match="unknown engine backend"):
         resolve_backend("bogus")
-    with pytest.raises(ConfigError, match="heap, ring, compiled"):
+    with pytest.raises(ConfigError, match="heap, compiled"):
         resolve_backend("bogus")
     # The dual inheritance existing callers rely on.
     assert issubclass(ConfigError, SimulationError)
@@ -317,10 +317,10 @@ def test_resolve_backend_env_override_validated(monkeypatch):
 def test_resolve_compiled_without_extension_names_alternatives(monkeypatch):
     monkeypatch.delenv(BACKEND_ENV, raising=False)
     monkeypatch.setattr(compiled_mod, "_ckernel", None)
-    assert available_backends() == ("heap", "ring")
+    assert available_backends() == ("heap",)
     with pytest.raises(ConfigError, match="not built") as exc:
         resolve_backend("compiled")
-    assert "available backends: heap, ring" in str(exc.value)
+    assert "available backends: heap" in str(exc.value)
     # ...and via the env override, same eager refusal.
     monkeypatch.setenv(BACKEND_ENV, "compiled")
     with pytest.raises(ConfigError, match="make ext"):
