@@ -32,7 +32,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.harness.io import SweepResultCache
 from repro.harness.queue import Lease, SweepQueue, default_owner
@@ -282,6 +282,7 @@ def run_worker(
     install_signal_handlers: bool = False,
     stop: Optional[threading.Event] = None,
     progress=None,
+    notify: Optional[Callable[[], None]] = None,
 ) -> WorkerReport:
     """Drain cells from a sweep queue until it is empty (or stopped).
 
@@ -305,6 +306,9 @@ def run_worker(
             signal handlers).
         progress: Optional callable ``(report, stats)`` invoked after
             every claimed cell.
+        notify: Optional no-argument callable invoked after every commit
+            (``complete`` or ``fail``).  Unlike ``progress`` it runs no
+            queue query, so a supervisor can use it as a cheap wakeup.
     """
     owner = owner or default_owner()
     stop = stop or threading.Event()
@@ -377,6 +381,8 @@ def run_worker(
                 else:
                     queue.complete(lease.idx, owner, outcome)
                     report.completed += 1
+                if notify is not None:
+                    notify()
                 if progress is not None:
                     progress(report, queue.stats())
         except KeyboardInterrupt:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
 import signal
 import threading
 import time
@@ -85,11 +86,23 @@ class Submission:
     events: list = field(default_factory=list)
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
     task: Optional[asyncio.Task] = None
+    # Set when the supervisor has something to look at: a worker
+    # committed or exited, or a cancel was requested.
+    wake: asyncio.Event = field(default_factory=asyncio.Event)
+    # Set (then replaced) by every publish(), for the attached streams.
+    changed: asyncio.Event = field(default_factory=asyncio.Event)
+
+    def publish(self, event: dict) -> None:
+        """Append a stream event and wake every attached stream."""
+        self.events.append(event)
+        self.changed.set()
+        self.changed = asyncio.Event()
 
     def cancel(self, reason: str) -> None:
         """Request graceful cancellation (first reason wins)."""
         if self.cancel_reason is None and not self.done_event.is_set():
             self.cancel_reason = reason
+            self.wake.set()
 
     def summary(self) -> dict:
         return {
@@ -146,6 +159,7 @@ class ExperimentService:
         self._submissions: dict[str, Submission] = {}
         self._digest_locks: dict[str, asyncio.Lock] = {}
         self._active_streams = 0
+        self._streams_idle: Optional[asyncio.Event] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop_requested: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -213,6 +227,7 @@ class ExperimentService:
                                "cached": len(cached), "enqueued": 0})
             sub.done_event.set()
             return sub
+        _warm_worker_imports()
         # Guards: budget first (nothing held on refusal), then breaker.
         self.admission.admit(len(missing))
         if not self.breaker.allow():
@@ -260,7 +275,7 @@ class ExperimentService:
                 seen[qi] = status
                 grid_index = sub.qgrid[qi]
                 key = sub.cells[grid_index][0]
-                sub.events.append({
+                sub.publish({
                     "event": "cell", "index": grid_index, "status": status,
                     "attempts": attempts, "key": sweep_key_to_dict(key),
                 })
@@ -293,15 +308,23 @@ class ExperimentService:
             self._harvest(sub)
 
     async def _supervise(self, sub: Submission) -> None:
-        """Own one submission: drive the fleet until done/dead/cancelled."""
+        """Own one submission: drive the fleet until done/dead/cancelled.
+
+        Each pass waits on ``sub.wake`` (a worker committed or exited, or
+        a cancel arrived).  ``poll_interval`` only bounds that wait, for
+        the timed work: lease reaping and restart backoff.
+        """
         loop = asyncio.get_running_loop()
         seen: dict = {}
+        watch = None
         try:
             await loop.run_in_executor(None, sub.fleet.start)
+            watch = _FleetWatch(loop, sub.fleet, sub.wake)
             while True:
-                await asyncio.sleep(self.poll_interval)
+                sub.wake.clear()
                 await loop.run_in_executor(None, sub.queue.reap)
                 await loop.run_in_executor(None, sub.fleet.poll)
+                watch.sync()
                 self._emit_cell_events(sub, seen)
                 if sub.cancel_reason is not None:
                     sub.state = "cancelled"
@@ -312,10 +335,18 @@ class ExperimentService:
                 if sub.fleet.dead:
                     sub.state = "degraded"
                     break
+                timeout = self.poll_interval
+                restart_in = sub.fleet.next_restart_in()
+                if restart_in is not None:
+                    timeout = min(timeout, restart_in)
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(sub.wake.wait(), timeout)
         except Exception as exc:  # supervision must never vanish silently
             sub.state = "error"
             sub.error = f"{type(exc).__name__}: {exc}"
         finally:
+            if watch is not None:
+                watch.close()
             with contextlib.suppress(asyncio.CancelledError):
                 await asyncio.shield(
                     loop.run_in_executor(None, self._teardown_sync, sub)
@@ -341,7 +372,7 @@ class ExperimentService:
                 final["reason"] = sub.cancel_reason
             if sub.error is not None:
                 final["error"] = sub.error
-            sub.events.append(final)
+            sub.publish(final)
             sub.done_event.set()
 
     def _assemble(self, sub: Submission) -> SweepResult:
@@ -468,6 +499,7 @@ class ExperimentService:
                                  deadline: Deadline) -> None:
         stream = NDJSONStream(writer)
         self._active_streams += 1
+        self._streams_idle.clear()
         try:
             await stream.start(200)
             await stream.emit({
@@ -478,6 +510,9 @@ class ExperimentService:
             cursor = 0
             notified_deadline = False
             while True:
+                # Taken before reading, so an event published while an
+                # emit below awaits still wakes this stream.
+                changed = sub.changed
                 while cursor < len(sub.events):
                     await stream.emit(sub.events[cursor])
                     cursor += 1
@@ -494,10 +529,13 @@ class ExperimentService:
                 wait = self.poll_interval
                 if not deadline.expired:
                     wait = min(wait, max(deadline.remaining, 0.001))
-                await asyncio.sleep(wait)
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(changed.wait(), wait)
             await stream.close()
         finally:
             self._active_streams -= 1
+            if self._active_streams == 0:
+                self._streams_idle.set()
 
     async def _handle_sweep_get(self, request: Request,
                                 writer: asyncio.StreamWriter,
@@ -615,6 +653,8 @@ class ExperimentService:
         """Bind the listening socket (the actual port lands in ``port``)."""
         self._loop = asyncio.get_running_loop()
         self._stop_requested = asyncio.Event()
+        self._streams_idle = asyncio.Event()
+        self._streams_idle.set()
         self._server = await asyncio.start_server(
             self._handle_conn, self.host, self.port
         )
@@ -636,11 +676,9 @@ class ExperimentService:
         if drain:
             # Let attached NDJSON streams flush their final events and
             # close cleanly before the loop (and its tasks) go away.
-            waited = 0.0
-            while self._active_streams > 0 and waited < 10.0:
-                await asyncio.sleep(self.poll_interval)
-                waited += self.poll_interval
-        elif not drain:
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._streams_idle.wait(), 10.0)
+        else:
             for sub in running:
                 if sub.fleet is not None:
                     loop = asyncio.get_running_loop()
@@ -691,6 +729,68 @@ class ExperimentService:
         if self._thread.is_alive():
             raise RuntimeError("service did not stop within the timeout")
         self._thread = None
+
+
+def _warm_worker_imports() -> None:
+    """Import what a worker's first cell would, once, in this process.
+
+    Forked workers inherit every module already imported here; without
+    this, each worker of each submission imports these on its first
+    cell.  Called on the executor path, never during start-up.
+    """
+    import numpy.random  # noqa: F401
+    import repro.sim.snapshot  # noqa: F401
+
+
+class _FleetWatch:
+    """Event-loop readers that set a supervisor's wake event.
+
+    Two kinds of fd turn readable when the supervisor has work: the
+    fleet's notify pipe (a worker committed a cell) and each worker's
+    process sentinel (the worker exited).  A sentinel stays readable
+    once its process exits, so its reader is removed as it fires.  The
+    process of each watched sentinel is held here, so its fd cannot be
+    closed (and its number reused) while the loop still watches it.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop,
+                 fleet: FleetSupervisor, wake: asyncio.Event) -> None:
+        self._loop = loop
+        self._fleet = fleet
+        self._wake = wake
+        self._sentinels: dict = {}  # fd -> process
+        self._notify_fd = fleet.notify_fd
+        if self._notify_fd is not None:
+            loop.add_reader(self._notify_fd, self._on_notify)
+
+    def _on_notify(self) -> None:
+        with contextlib.suppress(BlockingIOError):
+            while os.read(self._notify_fd, 512):
+                pass
+        self._wake.set()
+
+    def _on_exit(self, fd: int) -> None:
+        self._loop.remove_reader(fd)
+        del self._sentinels[fd]
+        self._wake.set()
+
+    def sync(self) -> None:
+        """Watch exactly the sentinels of the fleet's current processes."""
+        current = self._fleet.sentinels
+        for fd in [fd for fd in self._sentinels if fd not in current]:
+            self._loop.remove_reader(fd)
+            del self._sentinels[fd]
+        for fd, proc in current.items():
+            if fd not in self._sentinels:
+                self._loop.add_reader(fd, self._on_exit, fd)
+                self._sentinels[fd] = proc
+
+    def close(self) -> None:
+        if self._notify_fd is not None:
+            self._loop.remove_reader(self._notify_fd)
+        for fd in self._sentinels:
+            self._loop.remove_reader(fd)
+        self._sentinels.clear()
 
 
 class ServiceUnavailable(RuntimeError):

@@ -17,8 +17,12 @@ submission's :class:`~repro.harness.queue.SweepQueue`.  Its contract:
   lease — never strand it), escalating to SIGKILL only past the grace
   period, then reaps the queue so any killed stragglers' leases recover.
 
-The supervisor is poll-driven (``poll()``) so the service's asyncio loop
-can drive it without threads; everything it calls is non-blocking.
+The service's asyncio loop drives the supervisor through ``poll()``,
+without threads; everything it calls is non-blocking.  The supervisor
+also tells the loop when to call it: default workers write one byte to
+the ``notify_fd`` pipe after each commit, each process's ``sentinel``
+turns readable when it exits, and ``next_restart_in()`` bounds the wait
+for a pending restart.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ _CTX = multiprocessing.get_context(
 )
 
 
-def _worker_entry(queue_dir: str) -> None:
+def _worker_entry(queue_dir: str, notify_fd: Optional[int] = None) -> None:
     # Fork children inherit the parent's asyncio signal wakeup fd (the
     # event loop's self-pipe socketpair).  Left in place, a SIGTERM
     # delivered to the *worker* writes its signal byte into that shared
@@ -46,12 +50,25 @@ def _worker_entry(queue_dir: str) -> None:
     # a fleet would shut the whole service down.  Detach before
     # installing the worker's handlers.
     signal.set_wakeup_fd(-1)
-    run_worker(queue_dir, install_signal_handlers=True)
+    notify = None
+    if notify_fd is not None:
+        def notify() -> None:
+            try:
+                os.write(notify_fd, b"\0")
+            except OSError:
+                pass  # pipe full (a wakeup is already pending) or closed
+    run_worker(queue_dir, install_signal_handlers=True, notify=notify)
 
 
-def default_worker_factory(queue_dir: str):
-    """Start one queue worker process (the production fleet member)."""
-    proc = _CTX.Process(target=_worker_entry, args=(queue_dir,))
+def default_worker_factory(queue_dir: str, notify_fd: Optional[int] = None):
+    """Start one queue worker process (the production fleet member).
+
+    ``notify_fd`` is the write end of a pipe the worker writes one byte
+    to after each commit.  Only a forked child inherits it.
+    """
+    if _CTX.get_start_method() != "fork":
+        notify_fd = None
+    proc = _CTX.Process(target=_worker_entry, args=(queue_dir, notify_fd))
     proc.start()
     return proc
 
@@ -90,18 +107,30 @@ class FleetSupervisor:
         self.restart_cap = restart_cap
         self.max_restarts = max_restarts
         self.breaker = breaker
-        self.worker_factory = worker_factory or default_worker_factory
+        self.worker_factory = worker_factory
         self._clock = clock
         self._slots = [_Slot() for _ in range(size)]
         self._started = False
+        # Commit-notify pipe (default workers only): read end, write end.
+        self.notify_fd: Optional[int] = None
+        self._notify_w: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
+    def _spawn(self):
+        if self.worker_factory is not None:
+            return self.worker_factory(str(self.queue.root))
+        return default_worker_factory(str(self.queue.root), self._notify_w)
+
     def start(self) -> None:
+        if self.worker_factory is None and self.notify_fd is None:
+            self.notify_fd, self._notify_w = os.pipe()
+            os.set_blocking(self.notify_fd, False)
+            os.set_blocking(self._notify_w, False)
         for slot in self._slots:
-            slot.proc = self.worker_factory(str(self.queue.root))
+            slot.proc = self._spawn()
         self._started = True
 
     def poll(self) -> None:
@@ -144,7 +173,7 @@ class FleetSupervisor:
                 slot.retired = True  # circuit open: stop feeding it workers
                 continue
             if now >= slot.not_before:
-                slot.proc = self.worker_factory(str(self.queue.root))
+                slot.proc = self._spawn()
 
     def drain(self, grace: float = 10.0) -> None:
         """Stop the fleet gracefully; never leave a stranded lease.
@@ -154,15 +183,18 @@ class FleetSupervisor:
         killed straggler's lease re-opens immediately instead of waiting
         out its deadline.
         """
-        live = [s for s in self._slots if s.proc is not None
-                and s.proc.is_alive()]
-        for slot in live:
+        # Exited but not yet reaped workers are joined too, so their
+        # process sentinels are closed rather than kept open.
+        held = [s for s in self._slots if s.proc is not None]
+        for slot in held:
+            if not slot.proc.is_alive():
+                continue
             try:
                 os.kill(slot.proc.pid, signal.SIGTERM)
             except (ProcessLookupError, TypeError):
                 pass
         deadline = time.monotonic() + grace
-        for slot in live:
+        for slot in held:
             slot.proc.join(max(0.0, deadline - time.monotonic()))
             if slot.proc.is_alive():
                 slot.proc.kill()
@@ -173,6 +205,10 @@ class FleetSupervisor:
         for slot in self._slots:
             slot.retired = True
         self._started = False
+        for fd in (self.notify_fd, self._notify_w):
+            if fd is not None:
+                os.close(fd)
+        self.notify_fd = self._notify_w = None
         self.queue.reap()
 
     # ------------------------------------------------------------------
@@ -193,6 +229,18 @@ class FleetSupervisor:
     def dead(self) -> bool:
         """Every slot retired (nothing running, nothing coming back)."""
         return self._started and all(s.retired for s in self._slots)
+
+    @property
+    def sentinels(self) -> dict:
+        """``{sentinel fd: process}`` for every process a slot holds."""
+        return {s.proc.sentinel: s.proc for s in self._slots
+                if s.proc is not None}
+
+    def next_restart_in(self) -> Optional[float]:
+        """Seconds until the earliest pending restart is due, or None."""
+        due = [s.not_before for s in self._slots
+               if s.proc is None and not s.retired]
+        return max(0.0, min(due) - self._clock()) if due else None
 
     @property
     def pids(self) -> list:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import select
 import threading
 import time
 from pathlib import Path
@@ -24,6 +26,7 @@ from repro.harness.queue import QueueSettings, SweepQueue
 from repro.harness.sweep import plan_queue_cells, sweep_from_spec
 from repro.harness.worker import _CTX
 from repro.service.app import ExperimentService
+from repro.service.fleet import FleetSupervisor
 
 SPEC4 = {
     "workloads": ["MT"],
@@ -115,18 +118,27 @@ def _queue_dirs(root) -> list:
     return sorted(p for p in Path(root).glob("queues/*/q*") if p.is_dir())
 
 
-def _warm_cache(root, spec, oracle) -> None:
-    """Pre-populate the service cache as a finished run would have."""
+def _planned_cells(spec) -> tuple:
+    """(queue cells, code fingerprint) for ``spec``, as the service plans."""
     from repro.perf.fingerprint import code_fingerprint
 
     sweep, params = sweep_from_spec(spec)
     grid = list(sweep._grid(params["scale"], params["seed"],
                             params["max_events_per_run"],
                             params["stall_threshold"], None, None))
+    code_fp = code_fingerprint()
+    return plan_queue_cells(grid, code_fp), code_fp
+
+
+def _warm_cache(root, spec, oracle) -> None:
+    """Pre-populate the service cache as a finished run would have."""
     cache = SweepResultCache(Path(root) / "cache")
-    for key, _args, fingerprint, _gfp in plan_queue_cells(
-            grid, code_fingerprint()):
+    for key, _args, fingerprint, _gfp in _planned_cells(spec)[0]:
         cache.store(fingerprint, oracle.points[key])
+
+
+def _fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
 
 
 def _noop() -> None:
@@ -453,3 +465,163 @@ class TestQueueStatusCLI:
         assert main(["queue", "status", str(tmp_path / "q")]) == 0
         out = capsys.readouterr().out
         assert "1 leased" in out and "host:1:abc" in out
+
+
+class TestEventDrivenCompletion:
+    """Completion follows worker commits and exits, not the poll tick.
+
+    Every service here polls every 30 s, so a stream that waited on the
+    tick would take at least that long.
+    """
+
+    def test_stream_completes_without_waiting_for_the_tick(
+            self, tmp_path, oracle2):
+        service = _start(tmp_path / "root", poll_interval=30.0)
+        try:
+            start = time.monotonic()
+            status, events, _ = _submit(service.port, SPEC2)
+            assert time.monotonic() - start < 10.0
+            assert status == 200
+            assert [e["event"] for e in events] == \
+                ["accepted", "cell", "cell", "done"]
+            assert events[-1] == {"event": "done", "state": "done",
+                                  "cached": 0, "enqueued": 2}
+            status, result, _ = _request(
+                service.port, "GET", f"/sweeps/{events[0]['digest']}/result")
+            assert status == 200
+            assert _dump(result) == _dump(sweep_result_to_dict(oracle2))
+        finally:
+            service.stop_background()
+
+    def test_deadline_cancel_does_not_wait_for_the_tick(self, tmp_path):
+        service = _start(tmp_path / "root", poll_interval=30.0)
+        try:
+            start = time.monotonic()
+            status, events, _ = _submit(service.port,
+                                        dict(SPEC4, deadline_s=0.01))
+            assert time.monotonic() - start < 10.0
+            assert status == 200
+            assert any(e["event"] == "deadline" for e in events)
+            assert events[-1]["state"] == "cancelled"
+            assert events[-1]["reason"] == "deadline"
+        finally:
+            service.stop_background()
+
+    def test_shutdown_drain_does_not_wait_for_the_tick(self, tmp_path):
+        service = _start(tmp_path / "root", poll_interval=30.0)
+        response = {}
+        thread = threading.Thread(
+            target=lambda: response.update(value=_submit(service.port,
+                                                         SPEC4)))
+        thread.start()
+        try:
+            give_up = time.monotonic() + 60.0
+            while time.monotonic() < give_up:
+                _status, health, _ = _request(service.port, "GET", "/healthz")
+                if health["worker_pids"]:
+                    break
+                time.sleep(0.01)
+        finally:
+            start = time.monotonic()
+            service.stop_background()  # graceful drain, like SIGTERM
+            thread.join(timeout=60)
+        assert time.monotonic() - start < 10.0
+        status, events, _ = response["value"]
+        assert status == 200
+        assert events[-1]["event"] == "done"
+        assert events[-1]["state"] in ("cancelled", "done")
+
+    def test_every_attached_stream_wakes(self, tmp_path, oracle4):
+        service = _start(tmp_path / "root", poll_interval=30.0)
+        replies = {}
+
+        def submit(slot):
+            replies[slot] = _submit(service.port, SPEC4)
+
+        def attach():
+            # GET .../stream joins the same submission once it exists.
+            give_up = time.monotonic() + 60.0
+            while time.monotonic() < give_up:
+                _status, listing, _ = _request(service.port, "GET", "/sweeps")
+                if listing["submissions"]:
+                    digest = listing["submissions"][0]["digest"]
+                    replies["get"] = _request(
+                        service.port, "GET", f"/sweeps/{digest}/stream")
+                    return
+                time.sleep(0.01)
+
+        threads = [threading.Thread(target=submit, args=(0,)),
+                   threading.Thread(target=submit, args=(1,)),
+                   threading.Thread(target=attach)]
+        try:
+            start = time.monotonic()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert time.monotonic() - start < 10.0
+            assert sorted(replies, key=str) == [0, 1, "get"]
+            tails = []
+            for status, events, _ in replies.values():
+                assert status == 200
+                assert events[0]["event"] == "accepted"
+                tails.append(events[1:])
+            assert [e["event"] for e in tails[0]] == ["cell"] * 4 + ["done"]
+            assert tails[0][-1]["state"] == "done"
+            assert tails[1] == tails[0] and tails[2] == tails[0]
+            assert len(_queue_dirs(tmp_path / "root")) == 1
+            status, result, _ = _request(
+                service.port, "GET",
+                f"/sweeps/{replies[0][1][0]['digest']}/result")
+            assert _dump(result) == _dump(sweep_result_to_dict(oracle4))
+        finally:
+            service.stop_background()
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(),
+                        reason="needs /proc/self/fd")
+    def test_sequential_cold_submissions_leak_no_fds(self, tmp_path):
+        service = _start(tmp_path / "root")
+        try:
+            def cold(seed):
+                status, events, _ = _submit(service.port,
+                                            dict(SPEC1, seed=seed))
+                assert status == 200
+                assert events[0]["enqueued"] == 1
+                assert events[-1]["state"] == "done"
+
+            cold(100)  # executor threads and lazy imports settle first
+            before = _fd_count()
+            for seed in range(101, 111):
+                cold(seed)
+            # The server closes each connection a moment after the
+            # client does; give the last one time to go.
+            give_up = time.monotonic() + 5.0
+            while _fd_count() > before and time.monotonic() < give_up:
+                time.sleep(0.05)
+            assert _fd_count() <= before
+        finally:
+            service.stop_background()
+
+
+class TestFleetNotify:
+    def test_default_worker_signals_each_commit(self, tmp_path):
+        cells, code_fp = _planned_cells(SPEC1)
+        queue = SweepQueue.create(
+            tmp_path / "q", cells,
+            QueueSettings(lease_duration=10.0, max_attempts=3),
+            code_fp=code_fp,
+        )
+        fleet = FleetSupervisor(queue, size=1)
+        fleet.start()
+        try:
+            notify_fd = fleet.notify_fd
+            readable, _, _ = select.select([notify_fd], [], [], 120.0)
+            assert readable == [notify_fd]
+            assert os.read(notify_fd, 16) == b"\0"
+            assert queue.stats().done == 1
+            (sentinel,) = fleet.sentinels
+            readable, _, _ = select.select([sentinel], [], [], 60.0)
+            assert readable == [sentinel]  # the drained worker exited
+        finally:
+            fleet.drain(grace=5.0)
+        assert fleet.notify_fd is None  # drain closed the pipe

@@ -1,14 +1,16 @@
 """Unit tests for the service guards and the sweep wire format.
 
 Everything here runs without sockets or workers: the admission budget,
-deadline, and circuit breaker take injectable clocks, and
-``sweep_from_spec`` is pure validation.
+deadline, circuit breaker and fleet supervisor take injectable clocks
+(the fleet a fake process too), and ``sweep_from_spec`` is pure
+validation.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.harness.queue import QueueSettings, SweepQueue
 from repro.harness.sweep import (
     SpecError,
     partition_cached_cells,
@@ -20,6 +22,8 @@ from repro.service.admission import (
     CircuitBreaker,
     Deadline,
 )
+from repro.service.fleet import FleetSupervisor
+from tests.unit.test_queue import make_cells
 
 
 class FakeClock:
@@ -225,3 +229,42 @@ class TestCircuitBreaker:
         clock.advance(4.0)
         assert breaker.retry_after == pytest.approx(6.0)
         assert breaker.to_dict()["state"] == "open"
+
+
+class _ExitedProc:
+    """A fleet process that has already died (no real worker needed)."""
+
+    pid = None
+    exitcode = 1
+    sentinel = -1
+
+    def is_alive(self) -> bool:
+        return False
+
+    def join(self, timeout=None) -> None:
+        pass
+
+
+class TestFleetRestartTimer:
+    def test_next_restart_in_counts_down_the_backoff(self, tmp_path):
+        clock = FakeClock(100.0)
+        queue = SweepQueue.create(
+            tmp_path / "q", make_cells(2),
+            QueueSettings(lease_duration=10.0, max_attempts=3),
+        )
+        fleet = FleetSupervisor(queue, size=1, restart_base=2.0,
+                                restart_cap=8.0, clock=clock,
+                                worker_factory=lambda _dir: _ExitedProc())
+        fleet.start()
+        assert fleet.notify_fd is None  # custom factories do not notify
+        assert fleet.next_restart_in() is None  # the slot holds a process
+        fleet.poll()  # died with live cells: restart after the backoff
+        assert fleet.sentinels == {}
+        assert fleet.next_restart_in() == 2.0  # attempt 1 waits the base
+        clock.advance(1.5)
+        assert fleet.next_restart_in() == 0.5
+        clock.advance(5.0)
+        assert fleet.next_restart_in() == 0.0
+        fleet.poll()  # due: the slot gets a new process
+        assert fleet.next_restart_in() is None
+        assert list(fleet.sentinels) == [-1]
