@@ -195,35 +195,32 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--workers", type=int, default=1,
                          help="parallel worker processes (0 = one per core; "
                               "results are identical at any worker count)")
-    sweep_p.add_argument("--chunk-size", type=int, default=0, metavar="N",
-                         help="grid points submitted per process task "
-                              "(0 = auto); larger chunks amortize pickling "
-                              "on big grids")
     sweep_p.add_argument("--no-fork", action="store_true",
                          help="disable snapshot-fork warm-state reuse and "
                               "run every cell from cycle zero (results are "
                               "byte-identical either way)")
     sweep_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="cache completed cells and prefix snapshots "
-                              "on disk, keyed by config + code fingerprint")
+                         help="keep the fingerprint store of completed "
+                              "cells and prefix snapshots in DIR, keyed by "
+                              "config + code fingerprint")
     sweep_p.add_argument("--resume", action="store_true",
                          help="serve cells already in --cache-dir from disk; "
                               "a killed sweep re-runs only unfinished cells")
     queue_g = sweep_p.add_argument_group(
-        "distributed queue", "fault-tolerant on-disk sweep queue "
+        "sweep queue", "every sweep drains a fault-tolerant lease queue "
         "(see docs/resilience.md)"
     )
     queue_g.add_argument("--queue-dir", default=None, metavar="DIR",
-                         help="materialize the grid as a lease-managed "
-                              "sqlite queue; --workers local workers drain "
-                              "it and any number of 'worker' processes on "
-                              "machines sharing the filesystem may attach; "
-                              "re-running with the same dir resumes the grid")
+                         help="keep the queue in DIR instead of a temporary "
+                              "directory: any number of 'worker' processes "
+                              "on machines sharing the filesystem may "
+                              "attach, and re-running with the same dir "
+                              "resumes the grid")
     queue_g.add_argument("--cell-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="per-cell wall-clock budget; a cell past it is "
-                              "killed (and, with --queue-dir, retried with "
-                              "backoff then quarantined)")
+                              "killed, retried with backoff, then "
+                              "quarantined")
     queue_g.add_argument("--lease", type=float, default=30.0,
                          metavar="SECONDS",
                          help="queue lease duration; a worker that stops "
@@ -577,7 +574,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     result = sweep.run(scale=args.scale, seed=args.seed, workers=workers,
                        max_events_per_run=args.max_events,
-                       chunk_size=args.chunk_size,
                        fork=not args.no_fork,
                        cache_dir=args.cache_dir, resume=args.resume,
                        checks=_make_checks(args), bundle_dir=args.bundle_dir,
@@ -586,31 +582,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                        lease_duration=args.lease,
                        max_attempts=args.max_attempts)
     print(result.table(args.metric))
-    if args.queue_dir is not None:
-        from repro.harness.queue import SweepQueue
-
-        qstats = SweepQueue.open(args.queue_dir).stats()
-        stats = (
-            f"queue: {qstats.done} done, {qstats.failed} failed, "
-            f"{qstats.quarantined} quarantined "
-            f"({args.queue_dir})"
+    stats = (
+        f"cells: {len(result.points) + len(result.failures)} "
+        f"(forked {result.forked_cells}, cold {result.cold_cells}, "
+        f"cached {result.cache_hits})"
+    )
+    if args.cache_dir is not None:
+        stats += (
+            f" | cache: {result.cache_hits} hits, "
+            f"{result.cache_misses} misses"
         )
-    else:
-        stats = (
-            f"cells: {len(result.points) + len(result.failures)} "
-            f"(forked {result.forked_cells}, cold {result.cold_cells}, "
-            f"cached {result.cache_hits})"
+    if result.fork_groups:
+        stats += (
+            f" | {result.fork_groups} shared prefixes, "
+            f"{result.prefix_events:,} prefix events"
         )
-        if args.cache_dir is not None:
-            stats += (
-                f" | cache: {result.cache_hits} hits, "
-                f"{result.cache_misses} misses"
-            )
-        if result.fork_groups:
-            stats += (
-                f" | {result.fork_groups} shared prefixes, "
-                f"{result.prefix_events:,} prefix events"
-            )
     print(stats)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if len(policies) >= 2 and not result.failures:

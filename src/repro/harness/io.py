@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import threading
 from pathlib import Path
 from typing import Optional, Union
 
@@ -155,7 +157,7 @@ def sweep_result_to_dict(result) -> dict:
 
     Cells appear in iteration (grid) order, each carrying its key and
     either a :func:`result_to_dict` payload or a :func:`failed_to_dict`
-    payload, so a client can reassemble the exact structure serial
+    payload, so a client can reassemble the exact structure
     ``Sweep.run()`` returns — the per-result dicts are byte-identical to
     locally serialized ones by construction.
     """
@@ -185,16 +187,23 @@ def load_result(path: Union[str, Path]) -> RunResult:
 
 
 class SweepResultCache:
-    """On-disk per-cell cache behind ``Sweep.run(cache_dir=...)``.
+    """The fingerprint store: one result per cell, one snapshot per prefix.
 
-    Layout: ``<root>/results/<fingerprint>.json`` holds one
-    :func:`save_result` file per completed cell and
+    ``Sweep.run``, every :class:`repro.harness.queue.SweepQueue` worker
+    and ``repro serve`` share this store: queue workers commit results
+    into it, and ``resume`` / the service serve hits from it.
+
+    Layout: ``<root>/results/<fingerprint>.json`` holds one result per
+    completed cell (compact :func:`result_to_dict` JSON) and
     ``<root>/snapshots/<fingerprint>.pkl`` one pickled
     ``(MachineSnapshot, meta)`` pair per shared prefix.  Fingerprints
     (see :func:`repro.harness.sweep.cell_fingerprint`) already include
     the source-tree fingerprint, so entries from older code are simply
     never looked up; a corrupt or truncated entry reads as a miss.
     Failures are never stored — a flaky cell gets re-run, not replayed.
+    Every write is atomic (temp file + rename), so concurrent workers
+    storing the same entry never expose a torn file; the last writer
+    wins with identical bytes.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -208,42 +217,36 @@ class SweepResultCache:
     def _snapshot_path(self, fingerprint: str) -> Path:
         return self.root / "snapshots" / f"{fingerprint}.pkl"
 
+    @staticmethod
+    def _write(path: Path, data: bytes) -> Path:
+        tmp = path.with_name(
+            f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
+        )
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+        return path
+
     def load(self, fingerprint: str) -> Optional[RunResult]:
         """The cached result for a cell fingerprint, or None on miss."""
-        path = self._result_path(fingerprint)
-        if not path.exists():
-            return None
         try:
-            return load_result(path)
+            return load_result(self._result_path(fingerprint))
         except Exception:
             return None
 
     def store(self, fingerprint: str, result: RunResult) -> Path:
         """Persist one completed cell under its fingerprint."""
-        return save_result(result, self._result_path(fingerprint))
+        text = json.dumps(result_to_dict(result), separators=(",", ":"),
+                          check_circular=False)
+        return self._write(self._result_path(fingerprint), text.encode())
 
     def load_snapshot(self, fingerprint: str):
         """The cached ``(snapshot, meta)`` for a group, or None on miss."""
-        path = self._snapshot_path(fingerprint)
-        if not path.exists():
-            return None
         try:
-            return pickle.loads(path.read_bytes())
+            return pickle.loads(self._snapshot_path(fingerprint).read_bytes())
         except Exception:
             return None
 
     def store_snapshot(self, fingerprint: str, payload) -> None:
-        """Persist one group's prefix snapshot under its fingerprint.
-
-        Written atomically (temp file + rename) so concurrent sweep-queue
-        workers racing to store the same prefix never expose a torn
-        pickle to each other; the last writer wins with identical bytes.
-        """
-        import os
-
-        path = self._snapshot_path(fingerprint)
-        tmp = path.with_suffix(f".tmp-{os.getpid()}")
-        tmp.write_bytes(
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        os.replace(tmp, path)
+        """Persist one group's prefix snapshot under its fingerprint."""
+        self._write(self._snapshot_path(fingerprint),
+                    pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))

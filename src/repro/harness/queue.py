@@ -28,42 +28,49 @@ Every cell row carries a status machine::
   with capped exponential backoff.  Because every cell is a
   deterministic simulation, a re-execution after a lost lease produces
   byte-identical results — a late commit from a zombie worker is a
-  first-writer-wins no-op.
+  no-op.
 * **Deterministic vs. infrastructure failures.**  A cell that *raises*
   (stall, event-budget exhaustion, invariant violation, bad input) fails
-  the same way on every host, exactly as it would under serial
-  ``Sweep.run()`` — it is recorded terminally as ``failed`` so a
-  queue-executed grid stays byte-identical to the serial oracle.  Only
+  the same way on every host, exactly as a plain run of the cell would
+  — it is recorded terminally as ``failed``, so a grid's result never
+  depends on which worker ran it.  Only
   infrastructure failures (lease expiry, a killed or crashed cell
   process, a wall-clock timeout) are retried; after ``max_attempts``
   the cell is quarantined with an evidence bundle instead of wedging
   the grid.
-* **Idempotent commits.**  Results land as files created with
-  first-writer-wins semantics (``os.link`` of a private temp file), so
-  duplicate executions commit exactly one result and the database
-  transition to ``done`` is a plain idempotent UPDATE.
+* **Idempotent commits.**  Results land in the sweep's fingerprint
+  store (:class:`repro.harness.io.SweepResultCache`), the same store
+  ``Sweep.run(cache_dir=...)`` and ``repro serve`` read hits from, keyed
+  by cell fingerprint.  A duplicate execution rewrites byte-identical
+  content, and the database transition to ``done`` is an UPDATE guarded
+  on the status, so exactly one commit counts.
 
 Concurrency relies on sqlite WAL mode plus ``BEGIN IMMEDIATE``
 transactions; the queue directory must live on a filesystem with
 working POSIX locks (local disk, most cluster filesystems — *not* NFS
-with broken locking).  Connections are opened per operation so worker
-processes can be forked freely.
+with broken locking).  Connections are opened per operation, except
+inside :meth:`SweepQueue.connected`, which a worker holds while it
+drains: there each thread of the process keeps one connection.  No
+connection is open outside that block, so processes that fork workers
+never carry one into a child.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pickle
 import sqlite3
+import threading
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.harness.io import SweepResultCache, failed_to_dict, load_result
 from repro.harness.results import FailedRun
-from repro.harness.io import failed_to_dict, load_result, result_to_dict
 
 _DB_NAME = "queue.sqlite3"
 _GRID_NAME = "grid.pkl"
@@ -92,7 +99,8 @@ CREATE TABLE IF NOT EXISTS cells (
     error_type     TEXT,
     message        TEXT,
     result_path    TEXT,
-    bundle_path    TEXT
+    bundle_path    TEXT,
+    prefix_events  INTEGER
 );
 CREATE INDEX IF NOT EXISTS cells_status ON cells (status);
 CREATE TABLE IF NOT EXISTS events (
@@ -298,11 +306,18 @@ class SweepQueue:
         self.root = Path(root)
         self.db_path = self.root / _DB_NAME
         self.grid_path = self.root / _GRID_NAME
-        self.results_dir = self.root / "results"
         self.bundles_dir = self.root / "bundles"
-        self.cache_dir = self.root / "cache"
         self._grid: Optional[list] = None
         self._settings: Optional[QueueSettings] = None
+        self._store: Optional[SweepResultCache] = None
+        self._meta_cache: dict = {}
+        self._fingerprints: Optional[list] = None
+        # Results committed inside connected(), so a caller assembling
+        # in the same block reads none back from the store.
+        self._committed: dict = {}
+        # (pid, thread id) -> connection, filled only inside connected().
+        self._conns: dict = {}
+        self._held = 0
 
     # ------------------------------------------------------------------
     # Construction / attachment
@@ -310,16 +325,25 @@ class SweepQueue:
 
     @classmethod
     def create(cls, root, cells, settings: Optional[QueueSettings] = None,
-               code_fp: str = "") -> "SweepQueue":
+               code_fp: str = "", store=None, digest: Optional[str] = None,
+               grid_file: bool = True) -> "SweepQueue":
         """Materialize a grid as a fresh queue.
 
         Args:
             root: Queue directory (created if missing).
-            cells: ``(key, args, fingerprint, group_fp)`` per grid cell,
-                in grid order.  ``args`` must be picklable — the grid
-                travels to workers via ``grid.pkl``.
+            cells: ``(key, args, fingerprint, group_fp)`` per queued cell,
+                in grid order.
             settings: Lease/retry/timeout policy for every worker.
             code_fp: Source-tree fingerprint recorded for validation.
+            store: Directory of the fingerprint store results are
+                committed into (default: ``<root>/cache``).
+            digest: Grid identity recorded for :meth:`create_or_attach`
+                (default: the digest of ``cells``).  A caller that queues
+                only part of a grid passes the whole grid's digest.
+            grid_file: Write ``grid.pkl`` so ``repro worker`` processes
+                can attach; ``args`` must then be picklable.  Without it
+                only this process and workers forked from it can run
+                cells.
         """
         queue = cls(root)
         if queue.db_path.exists():
@@ -329,44 +353,48 @@ class SweepQueue:
             )
         settings = settings or QueueSettings()
         queue.root.mkdir(parents=True, exist_ok=True)
-        queue.results_dir.mkdir(exist_ok=True)
         queue.bundles_dir.mkdir(exist_ok=True)
-        payload = {
-            "version": 1,
-            "code_fp": code_fp,
-            "cells": [(key, args) for key, args, _fp, _gfp in cells],
+        grid = [(key, args) for key, args, _fp, _gfp in cells]
+        if grid_file:
+            payload = {"version": 1, "code_fp": code_fp, "cells": grid}
+            try:
+                blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                raise ValueError(
+                    "queue cells must be picklable (object workloads with "
+                    f"unpicklable state cannot be queued): {exc}"
+                ) from exc
+            tmp = queue.grid_path.with_suffix(f".tmp-{os.getpid()}")
+            tmp.write_bytes(blob)
+            os.replace(tmp, queue.grid_path)
+        queue._grid = grid
+        queue._fingerprints = [fp for _k, _a, fp, _gfp in cells]
+        store = Path(store) if store is not None else queue.root / "cache"
+        meta = {
+            "settings": settings.to_json(),
+            "spec_digest": digest or cls._spec_digest(cells, code_fp),
+            "store": str(store.resolve()),
+            "id": uuid.uuid4().hex,
         }
-        try:
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise ValueError(
-                "queue cells must be picklable (object workloads with "
-                f"unpicklable state cannot be queued): {exc}"
-            ) from exc
-        tmp = queue.grid_path.with_suffix(f".tmp-{os.getpid()}")
-        tmp.write_bytes(blob)
-        os.replace(tmp, queue.grid_path)
         with queue._txn() as conn:
             conn.executescript(_SCHEMA)
-            conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('settings', ?)",
-                (settings.to_json(),),
-            )
-            conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('spec_digest', ?)",
-                (cls._spec_digest(cells, code_fp),),
-            )
+            conn.executemany("INSERT INTO meta (key, value) VALUES (?, ?)",
+                             list(meta.items()))
             conn.executemany(
                 "INSERT INTO cells (idx, fingerprint, group_fp) "
                 "VALUES (?, ?, ?)",
                 [(i, fp, gfp) for i, (_k, _a, fp, gfp) in enumerate(cells)],
             )
+        queue._settings = settings
+        queue._meta_cache.update(meta)
         return queue
 
     @classmethod
     def create_or_attach(cls, root, cells,
                          settings: Optional[QueueSettings] = None,
-                         code_fp: str = "") -> "SweepQueue":
+                         code_fp: str = "", store=None,
+                         digest: Optional[str] = None,
+                         grid_file: bool = True) -> "SweepQueue":
         """Create the queue, or attach to an existing one for the same grid.
 
         Attaching validates the spec digest (grid identity plus source
@@ -375,9 +403,10 @@ class SweepQueue:
         """
         queue = cls(root)
         if not queue.db_path.exists():
-            return cls.create(root, cells, settings=settings, code_fp=code_fp)
+            return cls.create(root, cells, settings=settings, code_fp=code_fp,
+                              store=store, digest=digest, grid_file=grid_file)
         recorded = queue._meta("spec_digest")
-        expected = cls._spec_digest(cells, code_fp)
+        expected = digest or cls._spec_digest(cells, code_fp)
         if recorded != expected:
             raise ValueError(
                 f"queue at {queue.root} was created for a different grid "
@@ -407,44 +436,75 @@ class SweepQueue:
     # ------------------------------------------------------------------
 
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.db_path, timeout=30.0)
+        conn = sqlite3.connect(self.db_path, timeout=30.0,
+                               check_same_thread=False)
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute("PRAGMA busy_timeout=30000")
         return conn
 
-    class _Txn:
-        def __init__(self, queue: "SweepQueue") -> None:
-            self.queue = queue
-            self.conn: Optional[sqlite3.Connection] = None
-
-        def __enter__(self) -> sqlite3.Connection:
-            self.conn = self.queue._connect()
-            self.conn.execute("BEGIN IMMEDIATE")
-            return self.conn
-
-        def __exit__(self, exc_type, _exc, _tb) -> None:
-            assert self.conn is not None
+    @contextlib.contextmanager
+    def _db(self):
+        """This thread's held connection, or a fresh one closed after use."""
+        if not self._held:
+            conn = self._connect()
             try:
-                if exc_type is None:
-                    self.conn.commit()
-                else:
-                    self.conn.rollback()
+                yield conn
             finally:
-                self.conn.close()
+                conn.close()
+            return
+        key = (os.getpid(), threading.get_ident())
+        conn = self._conns.get(key)
+        if conn is None:
+            conn = self._conns[key] = self._connect()
+        yield conn
 
-    def _txn(self) -> "_Txn":
-        return self._Txn(self)
+    @contextlib.contextmanager
+    def connected(self):
+        """Keep one connection per thread open for the block's duration.
+
+        A worker's loop runs a few transactions per cell; reconnecting
+        for each one (and checkpointing the WAL as the last connection
+        closes) would cost more than the transactions.  Every connection
+        the block opened is closed when it exits.  Results committed in
+        the block stay in memory until then, for :meth:`outcomes`.
+        """
+        self._held += 1
+        try:
+            yield self
+        finally:
+            self._held -= 1
+            if not self._held:
+                self.close()
+                self._committed.clear()
+
+    def close(self) -> None:
+        """Close the connections this process holds (idempotent)."""
+        pid = os.getpid()
+        for key in [k for k in self._conns if k[0] == pid]:
+            self._conns.pop(key).close()
+
+    @contextlib.contextmanager
+    def _txn(self):
+        with self._db() as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield conn
+            except BaseException:
+                conn.rollback()
+                raise
+            conn.commit()
 
     def _meta(self, key: str) -> Optional[str]:
-        conn = self._connect()
-        try:
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key=?", (key,)
-            ).fetchone()
-            return row[0] if row else None
-        finally:
-            conn.close()
+        if key not in self._meta_cache:
+            with self._db() as conn:
+                row = conn.execute(
+                    "SELECT value FROM meta WHERE key=?", (key,)
+                ).fetchone()
+            if row is None:
+                return None
+            self._meta_cache[key] = row[0]
+        return self._meta_cache[key]
 
     @property
     def settings(self) -> QueueSettings:
@@ -455,12 +515,33 @@ class SweepQueue:
             self._settings = QueueSettings.from_json(text)
         return self._settings
 
+    @property
+    def store(self) -> SweepResultCache:
+        """The fingerprint store this queue commits results into."""
+        if self._store is None:
+            self._store = SweepResultCache(self._meta("store"))
+        return self._store
+
     def load_grid(self) -> list:
         """The (key, args) grid this queue was created from, in order."""
         if self._grid is None:
             payload = pickle.loads(self.grid_path.read_bytes())
             self._grid = payload["cells"]
         return self._grid
+
+    def _store_key(self, idx: int) -> str:
+        """Where cell ``idx``'s result lives in the store.
+
+        A fingerprinted cell's result is shared by every grid that
+        contains it.  A cell without one (an object workload) gets a key
+        private to this queue.
+        """
+        if self._fingerprints is None:
+            with self._db() as conn:
+                self._fingerprints = [fp for (fp,) in conn.execute(
+                    "SELECT fingerprint FROM cells ORDER BY idx"
+                )]
+        return self._fingerprints[idx] or f"{self._meta('id')}-{idx:05d}"
 
     @staticmethod
     def _log(conn, cell: int, owner: Optional[str], event: str,
@@ -489,11 +570,12 @@ class SweepQueue:
         with self._txn() as conn:
             _reclaimed, quarantined = self._reclaim_locked(conn, now, s)
             row = conn.execute(
-                "SELECT idx, attempts FROM cells WHERE status='open' AND "
-                "not_before<=? ORDER BY idx LIMIT 1", (now,),
+                "SELECT idx, attempts, group_fp FROM cells WHERE "
+                "status='open' AND not_before<=? ORDER BY idx LIMIT 1",
+                (now,),
             ).fetchone()
             if row is not None:
-                idx, attempts = row
+                idx, attempts, gfp = row
                 deadline = now + s.lease_duration
                 conn.execute(
                     "UPDATE cells SET status='leased', owner=?, "
@@ -506,9 +588,7 @@ class SweepQueue:
         self._write_quarantine_bundles(quarantined)
         if row is None:
             return None
-        grid = self.load_grid()
-        key, args = grid[idx]
-        gfp = self._cell_column(idx, "group_fp")
+        key, args = self.load_grid()[idx]
         return Lease(idx=idx, key=key, args=args, group_fp=gfp,
                      attempts=attempts + 1, deadline=deadline)
 
@@ -602,52 +682,45 @@ class SweepQueue:
     # Commit paths
     # ------------------------------------------------------------------
 
-    def _result_path(self, idx: int) -> Path:
-        return self.results_dir / f"cell-{idx:05d}.json"
-
-    def complete(self, idx: int, owner: str, result) -> bool:
+    def complete(self, idx: int, owner: str, result,
+                 prefix_events: Optional[int] = None) -> bool:
         """Commit a finished cell idempotently; returns True if counted.
 
-        The result file is created first-writer-wins: a duplicate
-        execution (zombie worker, reclaimed lease) finds the file
-        already present — byte-identical by determinism — and its
-        commit degrades to a no-op.  Works regardless of whether the
-        committer still holds the lease.
+        The result is written to the store first, so a ``done`` row
+        always has its result on disk.  A duplicate execution (zombie
+        worker, reclaimed lease) rewrites byte-identical content — every
+        cell is deterministic — and its status transition is a no-op.
+        Works regardless of whether the committer still holds the lease.
+        ``prefix_events`` records how the cell ran: the shared prefix's
+        event count when it forked, None when it ran cold.
         """
-        path = self._result_path(idx)
-        payload = json.dumps(result_to_dict(result), indent=2)
-        tmp = path.with_suffix(f".tmp-{owner.replace('/', '_')}-{os.getpid()}")
-        tmp.write_text(payload)
-        try:
-            os.link(tmp, path)  # atomic create-if-absent
-            first_writer = True
-        except FileExistsError:
-            first_writer = False
-        finally:
-            tmp.unlink(missing_ok=True)
+        path = self.store.store(self._store_key(idx), result)
+        if self._held:
+            self._committed[idx] = result
         with self._txn() as conn:
             cur = conn.execute(
                 "UPDATE cells SET status='done', owner=NULL, last_owner=?, "
-                "result_path=?, error_type=NULL, message=NULL "
-                "WHERE idx=? AND status!='done'",
-                (owner, str(path), idx),
+                "result_path=?, error_type=NULL, message=NULL, "
+                "prefix_events=? WHERE idx=? AND status!='done'",
+                (owner, str(path), prefix_events, idx),
             )
             self._log(conn, idx, owner,
                       "complete" if cur.rowcount else "duplicate-commit")
-            return cur.rowcount == 1 and first_writer
+            return cur.rowcount == 1
 
     def fail(self, idx: int, owner: str, error_type: str, message: str,
              retryable: bool, bundle_path: Optional[str] = None,
-             now: Optional[float] = None) -> str:
+             now: Optional[float] = None,
+             prefix_events: Optional[int] = None) -> str:
         """Record a failed execution; returns the cell's new status.
 
         Deterministic simulation failures (``retryable=False``) are
-        terminal: the cell would fail identically under serial
-        ``Sweep.run()``, so retrying would only burn cycles and the
-        recorded ``FailedRun`` must match the serial oracle.
+        terminal: the cell would fail identically on any worker, so
+        retrying would only burn cycles.
         Infrastructure failures (``retryable=True``: timeouts, crashed
         cell processes) re-open the cell with capped exponential
         backoff until ``max_attempts``, then quarantine it.
+        ``prefix_events`` is as for :meth:`complete`.
         """
         now = time.time() if now is None else now
         s = self.settings
@@ -661,9 +734,11 @@ class SweepQueue:
                 status = "failed"
                 conn.execute(
                     "UPDATE cells SET status='failed', owner=NULL, "
-                    "last_owner=?, error_type=?, message=?, bundle_path=? "
+                    "last_owner=?, error_type=?, message=?, bundle_path=?, "
+                    "prefix_events=? "
                     "WHERE idx=? AND status IN ('leased', 'open')",
-                    (owner, error_type, message, bundle_path, idx),
+                    (owner, error_type, message, bundle_path, prefix_events,
+                     idx),
                 )
             elif attempts >= s.max_attempts:
                 status = "quarantined"
@@ -713,8 +788,7 @@ class SweepQueue:
                 pass  # evidence is best-effort; the grid must drain
 
     def _write_quarantine_bundle(self, idx: int) -> Path:
-        conn = self._connect()
-        try:
+        with self._db() as conn:
             row = conn.execute(
                 "SELECT fingerprint, status, attempts, last_owner, "
                 "error_type, message FROM cells WHERE idx=?", (idx,),
@@ -723,8 +797,6 @@ class SweepQueue:
                 "SELECT at, owner, event, detail FROM events "
                 "WHERE cell=? ORDER BY seq", (idx,),
             ).fetchall()
-        finally:
-            conn.close()
         fingerprint, status, attempts, last_owner, error_type, message = row
         key, _args = self.load_grid()[idx]
         failed = FailedRun(
@@ -753,25 +825,10 @@ class SweepQueue:
     # Observation / harvest
     # ------------------------------------------------------------------
 
-    def _cell_column(self, idx: int, column: str):
-        assert column in ("group_fp", "fingerprint", "status", "bundle_path")
-        conn = self._connect()
-        try:
-            row = conn.execute(
-                f"SELECT {column} FROM cells WHERE idx=?", (idx,)
-            ).fetchone()
-            return row[0] if row else None
-        finally:
-            conn.close()
-
-    def stats(self) -> QueueStats:
-        conn = self._connect()
-        try:
-            counts = dict(conn.execute(
-                "SELECT status, COUNT(*) FROM cells GROUP BY status"
-            ).fetchall())
-        finally:
-            conn.close()
+    def _counts(self, conn) -> QueueStats:
+        counts = dict(conn.execute(
+            "SELECT status, COUNT(*) FROM cells GROUP BY status"
+        ).fetchall())
         return QueueStats(
             open=counts.get("open", 0),
             leased=counts.get("leased", 0),
@@ -779,6 +836,10 @@ class SweepQueue:
             failed=counts.get("failed", 0),
             quarantined=counts.get("quarantined", 0),
         )
+
+    def stats(self) -> QueueStats:
+        with self._db() as conn:
+            return self._counts(conn)
 
     def drained(self) -> bool:
         """True once every cell is terminal (done/failed/quarantined)."""
@@ -793,24 +854,12 @@ class SweepQueue:
         """
         now = time.time() if now is None else now
         lease_duration = self.settings.lease_duration
-        conn = self._connect()
-        try:
-            counts = dict(conn.execute(
-                "SELECT status, COUNT(*) FROM cells GROUP BY status"
-            ).fetchall())
+        with self._db() as conn:
+            stats = self._counts(conn)
             rows = conn.execute(
                 "SELECT idx, owner, attempts, lease_deadline FROM cells "
                 "WHERE status='leased' ORDER BY idx"
             ).fetchall()
-        finally:
-            conn.close()
-        stats = QueueStats(
-            open=counts.get("open", 0),
-            leased=counts.get("leased", 0),
-            done=counts.get("done", 0),
-            failed=counts.get("failed", 0),
-            quarantined=counts.get("quarantined", 0),
-        )
         leases = tuple(
             LeaseHealth(
                 idx=idx, owner=owner, attempts=attempts,
@@ -823,48 +872,78 @@ class SweepQueue:
 
     def rows(self) -> list[tuple]:
         """Every cell row, in grid order (for tests and tooling)."""
-        conn = self._connect()
-        try:
+        with self._db() as conn:
             return conn.execute(
                 "SELECT idx, status, owner, last_owner, attempts, "
                 "error_type, message, result_path, bundle_path "
                 "FROM cells ORDER BY idx"
             ).fetchall()
-        finally:
-            conn.close()
 
-    def collect(self):
-        """Assemble the drained queue into a :class:`SweepResult`.
+    def settled(self, after: int = 0) -> list[tuple]:
+        """Cells that reached a terminal status after event ``after``.
 
-        Rows are read in grid order, so the resulting ``points`` and
-        ``failures`` iterate exactly like serial ``Sweep.run()`` output.
-        A cell that is somehow still live (collect before drain) is
-        reported as an ``Incomplete`` failure rather than hidden.
+        Returns ``(seq, idx, status, attempts)`` in commit order; pass
+        the last ``seq`` seen to read only newer settlements.  A cell
+        can appear twice (a late duplicate commit can turn a quarantined
+        cell ``done``), so callers that count cells dedupe on ``idx``.
         """
-        from repro.harness.sweep import SweepResult
+        with self._db() as conn:
+            return conn.execute(
+                "SELECT e.seq, c.idx, c.status, c.attempts FROM events e "
+                "JOIN cells c ON c.idx = e.cell WHERE e.seq > ? AND "
+                "e.event IN ('complete', 'failed', 'quarantined', "
+                "'quarantine') ORDER BY e.seq", (after,),
+            ).fetchall()
 
+    def outcomes(self) -> list[tuple]:
+        """``(key, status, outcome, group_fp, prefix_events)`` per cell.
+
+        Rows come in grid order.  ``outcome`` is the cell's
+        :class:`RunResult` when it is done, and a :class:`FailedRun`
+        otherwise — carrying the queue's provenance (attempts, last owner,
+        bundle), or ``Incomplete`` for a cell that is still live.
+        ``prefix_events`` is None for a cell that ran cold or has not run.
+        """
         grid = self.load_grid()
-        result = SweepResult()
-        for (idx, status, _owner, last_owner, attempts, error_type,
-             message, result_path, bundle_path) in self.rows():
+        with self._db() as conn:
+            rows = conn.execute(
+                "SELECT idx, status, last_owner, attempts, error_type, "
+                "message, result_path, bundle_path, group_fp, prefix_events "
+                "FROM cells ORDER BY idx"
+            ).fetchall()
+        out = []
+        for (idx, status, last_owner, attempts, error_type, message,
+             result_path, bundle_path, group_fp, prefix_events) in rows:
             key, _args = grid[idx]
             if status == "done":
-                result.points[key] = load_result(result_path)
+                outcome = self._committed.get(idx)
+                if outcome is None:
+                    outcome = load_result(result_path)
             elif status in ("failed", "quarantined"):
-                result.failures[key] = FailedRun(
+                outcome = FailedRun(
                     workload=key.workload, policy=key.policy,
-                    error_type=error_type or status,
-                    message=message or "",
-                    bundle_path=bundle_path,
-                    attempts=max(attempts, 1),
+                    error_type=error_type or status, message=message or "",
+                    bundle_path=bundle_path, attempts=max(attempts, 1),
                     last_owner=last_owner,
                 )
             else:
-                result.failures[key] = FailedRun(
+                outcome = FailedRun(
                     workload=key.workload, policy=key.policy,
                     error_type="Incomplete",
                     message=f"cell still {status} when collected",
-                    attempts=max(attempts, 1),
-                    last_owner=last_owner,
+                    attempts=max(attempts, 1), last_owner=last_owner,
                 )
-        return result
+            out.append((key, status, outcome, group_fp, prefix_events))
+        return out
+
+    def collect(self):
+        """Assemble this queue's cells into a :class:`SweepResult`.
+
+        See :func:`repro.harness.sweep.assemble_result`: rows come back
+        in grid order, so ``points`` and ``failures`` iterate exactly
+        like a ``Sweep.run()`` of the same grid.
+        """
+        from repro.harness.sweep import assemble_result
+
+        return assemble_result([key for key, _args in self.load_grid()],
+                               {}, self)

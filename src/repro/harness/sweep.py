@@ -28,7 +28,7 @@ runs that shared prefix **once** per group, snapshots the machine at
 ``migration_period - 1`` cycles, and forks each cell from the snapshot
 via :class:`repro.sim.snapshot.MachineSnapshot`.  Forked cells are
 byte-identical to cold runs — the parity suite pins this — so results
-never depend on ``fork``, ``workers``, or ``chunk_size``.
+never depend on ``fork`` or ``workers``.
 
 Cells that cannot share a prefix run cold, exactly as before: object
 workloads (no stable fingerprint), predictive policies (they consume
@@ -39,16 +39,25 @@ One observable asymmetry: a forked cell that exhausts ``max_events``
 reports the *continuation* budget in its failure message, not the full
 one.  The stall happens after the same total event count either way.
 
-Caching
--------
+Execution and the store
+-----------------------
 
-``cache_dir`` enables an on-disk cache keyed by a cell fingerprint
+Every ``Sweep.run`` executes through a lease queue
+(:class:`repro.harness.queue.SweepQueue`): the calling process drains it
+itself, or supervises ``workers`` local worker processes, and any
+number of ``repro worker`` processes may attach to a ``queue_dir``.
+Workers commit results into one fingerprint store
+(:class:`repro.harness.io.SweepResultCache`) keyed by a cell fingerprint
 (canonical JSON of the cell's full configuration) combined with
 :func:`repro.perf.fingerprint.code_fingerprint`, so any source change
-invalidates every entry.  ``resume=True`` loads completed cells from the
-cache instead of re-running them — a killed sweep re-runs only what it
-had not finished.  Group snapshots are cached the same way; failures are
-never cached.
+invalidates every entry.  ``cache_dir`` names that store; without one
+(and without a ``queue_dir``) the sweep uses a temporary store and queue
+and removes both before returning.  ``resume=True`` serves cells already
+in the store instead of re-running them — a killed sweep re-runs only
+what it had not finished.  Group snapshots are stored the same way;
+failures are never stored.  ``repro serve`` reads and fills the same
+kind of store, and both assemble results through
+:func:`assemble_result`.
 """
 
 from __future__ import annotations
@@ -57,7 +66,11 @@ import dataclasses
 import enum
 import hashlib
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 from repro.config.hyperparams import GriffinHyperParams
@@ -99,8 +112,7 @@ class SweepResult:
         failures: SweepKey -> :class:`FailedRun` for points that stalled,
             blew their event budget, or raised.  A sweep always completes;
             a bad cell never takes the grid down with it.
-        cache_hits: Cells served from the on-disk result cache.
-        cache_misses: Cells executed while a cache was attached.
+        cache_hits: Cells served from the fingerprint store.
         forked_cells: Cells continued from a shared prefix snapshot.
         cold_cells: Cells simulated from cycle zero.
         fork_groups: Shared-prefix groups actually forked.
@@ -111,11 +123,15 @@ class SweepResult:
     points: dict = field(default_factory=dict)  # SweepKey -> RunResult
     failures: dict = field(default_factory=dict)  # SweepKey -> FailedRun
     cache_hits: int = 0
-    cache_misses: int = 0
     forked_cells: int = 0
     cold_cells: int = 0
     fork_groups: int = 0
     prefix_events: int = 0
+
+    @property
+    def cache_misses(self) -> int:
+        """Cells executed instead of served from the store."""
+        return self.forked_cells + self.cold_cells
 
     def get(self, workload: str, policy: str, config: str = "default",
             hyper: str = "default", fault: str = "none") -> RunResult:
@@ -478,7 +494,7 @@ def sweep_from_spec(spec: dict) -> tuple["Sweep", dict]:
     return sweep, run_params
 
 
-def partition_cached_cells(cells, cache) -> tuple[list, list]:
+def partition_cached_cells(cells, cache, on_hit=None) -> tuple[list, list]:
     """Split planned queue cells into cache hits and cells still to run.
 
     ``cells`` is :func:`plan_queue_cells` output; ``cache`` a
@@ -488,12 +504,13 @@ def partition_cached_cells(cells, cache) -> tuple[list, list]:
     and ``missing`` the remaining planned cells (grid order preserved).
     This is the partial-grid submission path: identical resubmissions
     are served entirely from ``cached`` and enqueue nothing.
+    ``on_hit(key)``, if given, is called as each hit is read.
 
     Group fingerprints are deliberately left as planned even when cache
-    hits shrink a fork group below two members: the serial oracle runs
-    the full grid and forks such a cell, so keeping the plan keeps the
+    hits shrink a fork group below two members: a fresh run of the full
+    grid forks such a cell, so keeping the plan keeps the
     budget-exhaustion failure message (which quotes the continuation
-    budget) byte-identical to serial.
+    budget) byte-identical to a fresh run.
     """
     cached: list = []
     missing: list = []
@@ -501,6 +518,8 @@ def partition_cached_cells(cells, cache) -> tuple[list, list]:
         hit = cache.load(fingerprint) if fingerprint is not None else None
         if hit is not None:
             cached.append((index, key, fingerprint, hit))
+            if on_hit is not None:
+                on_hit(key)
         else:
             missing.append((key, args, fingerprint, group_fp))
     return cached, missing
@@ -509,25 +528,143 @@ def partition_cached_cells(cells, cache) -> tuple[list, list]:
 def plan_queue_cells(grid, code_fp: str = "", fork: bool = True) -> list:
     """Queue rows ``(key, args, fingerprint, group_fp)`` for a grid.
 
-    Mirrors the in-process executor's fork plan exactly: a cell keeps
-    its group fingerprint only when at least two cells share it (a group
-    of one amortizes nothing and runs cold).  Matching the plan matters
-    beyond speed — a forked cell that exhausts ``max_events`` reports
-    the *continuation* budget in its failure message, so queue-executed
-    failures stay byte-identical to serial ones.
+    With ``fork=False`` every ``group_fp`` is None; see
+    :func:`plan_fork_groups` for the fork plan.
     """
-    group_fps = []
+    cells = [(key, args, cell_fingerprint(args, code_fp), None)
+             for key, args in grid]
+    return plan_fork_groups(cells, code_fp) if fork else cells
+
+
+def plan_fork_groups(cells, code_fp: str = "") -> list:
+    """``cells`` with each cell's shared-prefix group fingerprint filled in.
+
+    A cell keeps its group fingerprint only when at least two cells
+    share it (a group of one amortizes nothing and runs cold).  The plan
+    is observable beyond speed — a forked cell that exhausts
+    ``max_events`` reports the *continuation* budget in its failure
+    message — so it always covers the whole grid, never just the cells
+    still to run.
+    """
+    group_fps = [group_fingerprint(args, code_fp)
+                 for _key, args, _fp, _gfp in cells]
     members: dict[str, int] = {}
-    for _key, args in grid:
-        group_fp = group_fingerprint(args, code_fp) if fork else None
-        group_fps.append(group_fp)
+    for group_fp in group_fps:
         if group_fp is not None:
             members[group_fp] = members.get(group_fp, 0) + 1
     return [
-        (key, args, cell_fingerprint(args, code_fp),
+        (key, args, fingerprint,
          group_fp if group_fp is not None and members[group_fp] >= 2 else None)
-        for (key, args), group_fp in zip(grid, group_fps)
+        for (key, args, fingerprint, _gfp), group_fp in zip(cells, group_fps)
     ]
+
+
+def assemble_result(keys, hits: dict, queue=None) -> SweepResult:
+    """Build a :class:`SweepResult` from store hits and a queue's outcomes.
+
+    ``keys`` is the grid in order; ``hits`` maps the keys served from the
+    fingerprint store to their results; ``queue`` (a
+    :class:`repro.harness.queue.SweepQueue`, None when every cell was a
+    hit) holds the rest.  ``Sweep.run``, :meth:`SweepQueue.collect` and
+    ``repro serve`` all assemble here, so their results serialize
+    byte-identically.  The fork counters come from how each queued cell
+    ran, whichever worker ran it.
+    """
+    result = SweepResult(cache_hits=len(hits))
+    rows = {} if queue is None else {
+        key: rest for key, *rest in queue.outcomes()
+    }
+    prefixes: dict = {}
+    for key in keys:
+        if key in hits:
+            result.points[key] = hits[key]
+            continue
+        status, outcome, group_fp, prefix_events = rows.get(key, (
+            None, FailedRun(workload=key.workload, policy=key.policy,
+                            error_type="Incomplete",
+                            message="cell neither stored nor queued"),
+            None, None,
+        ))
+        if isinstance(outcome, RunResult):
+            result.points[key] = outcome
+        else:
+            result.failures[key] = outcome
+        if status not in ("done", "failed", "quarantined"):
+            continue
+        if prefix_events is None:
+            result.cold_cells += 1
+        else:
+            result.forked_cells += 1
+            prefixes[group_fp] = prefix_events
+    result.fork_groups = len(prefixes)
+    result.prefix_events = sum(prefixes.values())
+    return result
+
+
+class _Settled:
+    """Report each settled cell once, in completion order.
+
+    Store hits land as they are read; queued cells land as their commits
+    appear in the queue's event log.  Without a ``progress`` callable
+    nothing is read.
+    """
+
+    def __init__(self, progress, total: int) -> None:
+        self.progress = progress
+        self.total = total
+        self.queue = None
+        self.seen: set = set()
+        self.seq = 0
+
+    def land(self, key) -> None:
+        if key not in self.seen:
+            self.seen.add(key)
+            self.progress(len(self.seen), self.total, key)
+
+    def poll(self) -> None:
+        if self.progress is None or self.queue is None:
+            return
+        grid = self.queue.load_grid()
+        for seq, idx, _status, _attempts in self.queue.settled(self.seq):
+            self.seq = seq
+            self.land(grid[idx][0])
+
+
+def _drain_with_fleet(queue, workers: int, settled: _Settled) -> None:
+    """Supervise ``workers`` forked workers until the queue drains.
+
+    The fleet restarts workers that die (with backoff) and gives up on
+    a slot after repeated deaths; a fleet with no slot left returns, and
+    the caller drains the rest itself.  Each pass wakes on a worker's commit,
+    a worker's exit or a due restart.
+    """
+    import select
+
+    from repro.service.fleet import FleetSupervisor
+
+    fleet = FleetSupervisor(queue, size=workers)
+    fleet.start()
+    try:
+        while not queue.drained():
+            settled.poll()
+            fleet.poll()
+            if fleet.dead:
+                break
+            fds = list(fleet.sentinels)
+            if fleet.notify_fd is not None:
+                fds.append(fleet.notify_fd)
+            restart_in = fleet.next_restart_in()
+            readable, _, _ = select.select(
+                fds, [], [], 1.0 if restart_in is None else restart_in
+            )
+            if fleet.notify_fd in readable:
+                try:
+                    while os.read(fleet.notify_fd, 512):
+                        pass
+                except BlockingIOError:
+                    pass
+    finally:
+        fleet.drain()
 
 
 @dataclass(frozen=True)
@@ -607,39 +744,40 @@ class Sweep:
             progress=None, workers: int = 1,
             max_events_per_run: Optional[int] = None,
             stall_threshold: Optional[int] = 1_000_000,
-            chunk_size: int = 0, fork: bool = True,
+            fork: bool = True,
             cache_dir=None, resume: bool = False,
             checks=None, bundle_dir=None,
             cell_timeout: Optional[float] = None,
             queue_dir=None, lease_duration: float = 30.0,
             max_attempts: int = 3, backoff_base: float = 1.0,
             backoff_cap: float = 60.0) -> SweepResult:
-        """Execute every grid point; optionally report progress.
+        """Execute every grid point through a lease queue.
+
+        The grid is planned with :func:`plan_queue_cells`; with
+        ``resume`` the cells already in the store are served from it
+        (:func:`partition_cached_cells`, as ``repro serve`` does), and
+        the rest are queued and drained.  Results never depend on
+        ``workers``, ``fork``, ``cell_timeout`` or where cells ran.
 
         Args:
             scale / seed: Forwarded to every run.
-            progress: Optional callable ``(done, total, key)`` invoked as
-                each point completes (completion order, not grid order).
-            workers: Process count.  Grid points are independent
-                simulations, so they parallelize perfectly; results are
-                identical regardless of worker count (every run is
-                deterministic).
+            progress: Optional callable ``(done, total, key)`` invoked
+                once per settled cell (completion order, not grid order).
+            workers: 1 (the default) drains the queue in this process;
+                N > 1 runs N local worker processes, forked so they share
+                the in-memory grid, and restarts any that die.
             max_events_per_run: Event budget for each grid point — the
                 sweep-level no-hang guarantee.  A point that exhausts it
                 lands in ``SweepResult.failures``.
             stall_threshold: Per-run livelock watchdog (None disables).
-            chunk_size: Grid points per submitted process task.  0 picks
-                roughly ``total / (4 * workers)`` so each worker sees a
-                few chunks (load balance) while pickling overhead is
-                amortized on large grids.  Results are identical at any
-                chunk size.
             fork: Share warm-up across cells that differ only in
                 late-binding knobs (see module docstring).  Results are
                 byte-identical either way; False forces every cell cold.
-            cache_dir: Directory for the on-disk result + snapshot cache;
-                None disables caching.
-            resume: Serve cells already present in ``cache_dir`` from
-                disk instead of re-running them.
+            cache_dir: Directory of the fingerprint store results are
+                committed into.  None uses ``<queue_dir>/cache``, or a
+                temporary store removed before returning.
+            resume: Serve cells already present in the store instead of
+                re-running them.
             checks: Optional :class:`repro.check.CheckConfig` applied to
                 every cell.  Checked cells run cold (the sanitizer must
                 observe the run from cycle zero) and a violating cell
@@ -648,272 +786,28 @@ class Sweep:
                 checked cell; each :class:`FailedRun` then records its
                 ``bundle_path`` (also shown by :meth:`SweepResult.failure_table`).
             cell_timeout: Per-cell wall-clock budget in seconds.  Each
-                cell then runs cold in its own supervised child process
-                that is SIGKILLed past the deadline — the backstop for
-                hangs in native/OS code that the in-sim event budgets
-                and stall watchdog cannot see.  A timed-out cell lands
-                in ``failures`` as ``CellTimeout``; the rest of the grid
-                completes.  Results stay byte-identical (cold == forked
-                is pinned by the parity suite).
-            queue_dir: Execute through a fault-tolerant on-disk
-                :class:`repro.harness.queue.SweepQueue` instead of the
-                in-process pool.  The grid is materialized as sqlite
-                rows; ``workers`` local worker processes drain it, and
-                any number of external ``repro worker <queue_dir>``
+                cell then runs in its own supervised child process that
+                is SIGKILLed past the deadline — the backstop for hangs
+                in native/OS code that the in-sim event budgets and
+                stall watchdog cannot see.  A timed-out cell is retried
+                with backoff and quarantined as ``CellTimeout`` after
+                ``max_attempts``; the rest of the grid completes.
+            queue_dir: Keep the queue in this directory instead of a
+                temporary one.  Any number of ``repro worker <queue_dir>``
                 processes — on any machine sharing the filesystem — may
-                attach at any time.  Results are byte-identical to an
-                in-process run; crashed/hung workers are recovered via
-                lease expiry (see docs/resilience.md).  ``progress`` is
-                polled from queue counters, so the ``key`` argument is
-                None in this mode.  Incompatible with ``cache_dir`` /
-                ``resume`` (the queue is itself the resume mechanism:
-                re-running with the same ``queue_dir`` picks up where the
-                grid left off).
+                then attach, and re-running with the same ``queue_dir``
+                re-opens the queue and picks up where the grid left off
+                (see docs/resilience.md).
             lease_duration / max_attempts / backoff_base / backoff_cap:
-                Queue-mode recovery policy — how long a worker may hold
-                a cell without heartbeating, how many executions a cell
-                is granted before quarantine, and the capped exponential
+                Queue recovery policy — how long a worker may hold a
+                cell without heartbeating, how many executions a cell is
+                granted before quarantine, and the capped exponential
                 backoff between retries.
 
         A point that raises is recorded as a :class:`FailedRun` in
-        ``SweepResult.failures``; the rest of the grid still runs.  A
-        worker task that dies wholesale (e.g. OOM-kill, unpicklable
-        input) is retried cell-by-cell in the parent, so only the truly
-        bad cells fail.
+        ``SweepResult.failures``; the rest of the grid still runs.
         """
-        if queue_dir is not None:
-            if cache_dir is not None or resume:
-                raise ValueError(
-                    "queue_dir is its own resume mechanism; do not "
-                    "combine it with cache_dir/resume"
-                )
-            return self._run_queue(
-                scale=scale, seed=seed, progress=progress, workers=workers,
-                max_events_per_run=max_events_per_run,
-                stall_threshold=stall_threshold, fork=fork, checks=checks,
-                bundle_dir=bundle_dir, cell_timeout=cell_timeout,
-                queue_dir=queue_dir, lease_duration=lease_duration,
-                max_attempts=max_attempts, backoff_base=backoff_base,
-                backoff_cap=backoff_cap,
-            )
-        result = SweepResult()
-        total = self.size()
-        grid = list(self._grid(scale, seed, max_events_per_run,
-                               stall_threshold, checks, bundle_dir))
-        outcomes: dict[int, object] = {}
-        from_cache: set[int] = set()
-        done = 0
-
-        def land(index: int, outcome) -> None:
-            nonlocal done
-            outcomes[index] = outcome
-            done += 1
-            if progress is not None:
-                progress(done, total, grid[index][0])
-
-        # --- cache: resolve fingerprints, maybe resume completed cells
-        cache = None
-        code_fp = ""
-        fingerprints: list[Optional[str]] = [None] * len(grid)
-        if cache_dir is not None:
-            from repro.harness.io import SweepResultCache
-            from repro.perf.fingerprint import code_fingerprint
-
-            cache = SweepResultCache(cache_dir)
-            code_fp = code_fingerprint()
-            for index, (_key, args) in enumerate(grid):
-                fingerprints[index] = cell_fingerprint(args, code_fp)
-            if resume:
-                for index, fingerprint in enumerate(fingerprints):
-                    if fingerprint is None:
-                        continue
-                    cached = cache.load(fingerprint)
-                    if cached is not None:
-                        result.cache_hits += 1
-                        from_cache.add(index)
-                        land(index, cached)
-
-        # --- supervised execution: a wall-clock budget means every
-        # remaining cell runs cold in its own killable child process
-        if cell_timeout is not None:
-            self._run_supervised(grid, outcomes, workers, cell_timeout,
-                                 result, land)
-
-        # --- plan: split the remaining cells into fork groups and colds
-        pending = [i for i in range(len(grid)) if i not in outcomes]
-        groups: list[tuple[Optional[str], list[int]]] = []
-        cold: list[int] = []
-        if fork:
-            by_prefix: dict[str, list[int]] = {}
-            for index in pending:
-                group_fp = group_fingerprint(grid[index][1], code_fp)
-                if group_fp is None:
-                    cold.append(index)
-                else:
-                    by_prefix.setdefault(group_fp, []).append(index)
-            for group_fp, members in by_prefix.items():
-                if len(members) < 2:
-                    # A group of one amortizes nothing; run it cold.
-                    cold.extend(members)
-                else:
-                    groups.append((group_fp, members))
-            cold.sort()
-        else:
-            cold = pending
-
-        # --- execute
-        if workers <= 1:
-            for group_fp, members in groups:
-                self._run_group_serial(grid, group_fp, members, cache,
-                                       result, land)
-            for index in cold:
-                land(index, _run_point_safe(grid[index][1]))
-                result.cold_cells += 1
-        else:
-            self._run_parallel(
-                grid, groups, cold, workers, chunk_size, total,
-                cache, result, land,
-            )
-
-        # --- record in grid order; store fresh successes in the cache
-        for index, (key, _args) in enumerate(grid):
-            outcome = outcomes[index]
-            self._record(result, key, outcome)
-            if (cache is not None and index not in from_cache
-                    and fingerprints[index] is not None):
-                result.cache_misses += 1
-                if isinstance(outcome, RunResult):
-                    cache.store(fingerprints[index], outcome)
-        return result
-
-    # ------------------------------------------------------------------
-    # Fork-group execution
-    # ------------------------------------------------------------------
-
-    def _run_group_serial(self, grid, group_fp, members, cache,
-                          result, land) -> None:
-        """Prefix once, fork every member, in this process."""
-        try:
-            snap, meta = _prepare_group(grid[members[0]][1], cache, group_fp)
-        except Exception:
-            # The shared prefix failed; each cell re-runs cold so its
-            # failure (or success) is exactly what a plain run reports.
-            for index in members:
-                land(index, _run_point_safe(grid[index][1]))
-                result.cold_cells += 1
-            return
-        result.fork_groups += 1
-        result.prefix_events += snap.events_executed
-        for index in members:
-            land(index, _finish_fork_safe(snap, meta, _fork_cell(grid[index][1])))
-            result.forked_cells += 1
-
-    def _run_parallel(self, grid, groups, cold, workers, chunk_size,
-                      total, cache, result, land) -> None:
-        """Fan chunks out to persistent workers; snapshots ship per chunk."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        if chunk_size <= 0:
-            chunk_size = max(1, total // (4 * workers))
-
-        # Prefixes run in the parent: each group's snapshot is computed
-        # once and pickled into every chunk submitted for that group.
-        fork_tasks: list[tuple[list[int], object, object]] = []
-        for group_fp, members in groups:
-            try:
-                snap, meta = _prepare_group(
-                    grid[members[0]][1], cache, group_fp
-                )
-            except Exception:
-                cold = cold + members
-                continue
-            result.fork_groups += 1
-            result.prefix_events += snap.events_executed
-            for part in _chunked(members, chunk_size):
-                fork_tasks.append((part, snap, meta))
-        cold = sorted(cold)
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for part, snap, meta in fork_tasks:
-                cells = [_fork_cell(grid[index][1]) for index in part]
-                futures.append(
-                    (part, True, pool.submit(_run_fork_chunk, snap, meta, cells))
-                )
-            for part in _chunked(cold, chunk_size):
-                args_list = [grid[index][1] for index in part]
-                futures.append(
-                    (part, False, pool.submit(_run_chunk, args_list))
-                )
-            for part, forked, future in futures:
-                try:
-                    chunk_outcomes = future.result()
-                except Exception:
-                    # The whole task died (worker killed, inputs failed
-                    # to pickle...).  Retry cell-by-cell in the parent so
-                    # only the genuinely bad cells become FailedRuns.
-                    for index in part:
-                        land(index, _run_point_safe(grid[index][1]))
-                        result.cold_cells += 1
-                    continue
-                for index, outcome in zip(part, chunk_outcomes):
-                    land(index, outcome)
-                    if forked:
-                        result.forked_cells += 1
-                    else:
-                        result.cold_cells += 1
-
-    def _run_supervised(self, grid, outcomes, workers, cell_timeout,
-                        result, land) -> None:
-        """Run every pending cell cold in a supervised child process.
-
-        The supervisor (:func:`repro.harness.worker.run_cell_supervised`)
-        SIGKILLs a cell past ``cell_timeout`` seconds, so a hang in
-        native/OS code costs one cell, not the whole grid.  With
-        ``workers > 1``, supervisor *threads* each drive one child
-        process — unlike a process pool, a killed cell poisons nothing.
-        """
-        from repro.harness.worker import run_cell_supervised
-
-        pending = [i for i in range(len(grid)) if i not in outcomes]
-        if workers <= 1:
-            for index in pending:
-                land(index, run_cell_supervised(
-                    grid[index][1], timeout=cell_timeout
-                ))
-                result.cold_cells += 1
-        else:
-            from concurrent.futures import ThreadPoolExecutor, as_completed
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(run_cell_supervised, grid[index][1],
-                                None, None, cell_timeout): index
-                    for index in pending
-                }
-                for future in as_completed(futures):
-                    land(futures[future], future.result())
-                    result.cold_cells += 1
-
-    def _run_queue(self, *, scale, seed, progress, workers,
-                   max_events_per_run, stall_threshold, fork, checks,
-                   bundle_dir, cell_timeout, queue_dir, lease_duration,
-                   max_attempts, backoff_base,
-                   backoff_cap) -> SweepResult:
-        """Execute the grid through an on-disk fault-tolerant queue.
-
-        The grid is materialized as lease-managed sqlite rows
-        (:class:`repro.harness.queue.SweepQueue`); ``workers`` local
-        worker processes drain it, and external ``repro worker``
-        processes may attach at any time to help.  The calling process
-        supervises: it reaps expired leases, and if every local worker
-        dies it degrades to draining the queue itself, so the sweep
-        always converges.  Results are byte-identical to the in-process
-        executor (same runner, same fork plan, deterministic cells).
-        """
-        import multiprocessing
-        import time as _time
-
+        from repro.harness.io import SweepResultCache
         from repro.harness.queue import QueueSettings, SweepQueue
         from repro.harness.worker import run_worker
         from repro.perf.fingerprint import code_fingerprint
@@ -921,80 +815,58 @@ class Sweep:
         grid = list(self._grid(scale, seed, max_events_per_run,
                                stall_threshold, checks, bundle_dir))
         code_fp = code_fingerprint()
-        cells = plan_queue_cells(grid, code_fp, fork)
-        settings = QueueSettings(
-            lease_duration=lease_duration, max_attempts=max_attempts,
-            backoff_base=backoff_base, backoff_cap=backoff_cap,
-            cell_timeout=cell_timeout,
-        )
-        queue = SweepQueue.create_or_attach(
-            queue_dir, cells, settings=settings, code_fp=code_fp
-        )
-        total = len(grid)
-
-        def report_progress() -> None:
-            if progress is not None:
-                stats = queue.stats()
-                progress(stats.total - stats.live, total, None)
-
-        if workers > 1:
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
+        # Group fingerprints are planned only once some cell must run.
+        cells = plan_queue_cells(grid, code_fp, fork=False)
+        settled = _Settled(progress, len(cells))
+        scratch = None
+        if queue_dir is None:
+            scratch = Path(tempfile.mkdtemp(prefix="repro-sweep-"))
+            queue_dir = scratch / "queue"
+        elif SweepQueue(queue_dir).db_path.exists():
+            resume = True  # re-opening a queue resumes its grid
+        try:
+            store = SweepResultCache(
+                cache_dir if cache_dir is not None
+                else (scratch or Path(queue_dir)) / "cache"
             )
-            procs = [
-                ctx.Process(
-                    target=run_worker, args=(str(queue_dir),),
-                    kwargs={"install_signal_handlers": True},
+            cached, missing = ([], cells)
+            if resume:
+                cached, missing = partition_cached_cells(
+                    cells, store, settled.land if progress else None
                 )
-                for _ in range(workers)
-            ]
-            for proc in procs:
-                proc.start()
-            try:
-                while not queue.drained():
-                    queue.reap()
-                    report_progress()
-                    if not any(proc.is_alive() for proc in procs):
-                        # The whole local fleet died; drain in-process
-                        # so the sweep still converges.
-                        break
-                    _time.sleep(0.2)
-            finally:
-                for proc in procs:
-                    if proc.is_alive():
-                        proc.terminate()  # SIGTERM -> graceful drain
-                for proc in procs:
-                    proc.join()
-        # Degraded mode (workers <= 1), fleet-death fallback, and the
-        # final safety net for leases released by draining workers: the
-        # calling process claims cells itself until the grid is done.
-        while not queue.drained():
-            run_worker(queue_dir, exit_when_drained=True)
-        report_progress()
-        return queue.collect()
-
-    @staticmethod
-    def _record(result: SweepResult, key: SweepKey, outcome) -> None:
-        if isinstance(outcome, Exception):
-            result.failures[key] = FailedRun.from_exception(
-                key.workload, key.policy, outcome
+            keys = [key for key, _args, _fp, _gfp in cells]
+            hits = {key: run for _index, key, _fp, run in cached}
+            if not missing:
+                return assemble_result(keys, hits)
+            if fork:
+                cells = plan_fork_groups(cells, code_fp)
+                hit = {index for index, _k, _fp, _run in cached}
+                missing = [cell for index, cell in enumerate(cells)
+                           if index not in hit]
+            settings = QueueSettings(
+                lease_duration=lease_duration,
+                max_attempts=max_attempts, backoff_base=backoff_base,
+                backoff_cap=backoff_cap, cell_timeout=cell_timeout,
             )
-            return
-        from repro.harness.worker import CellFailure
-
-        if isinstance(outcome, CellFailure):
-            result.failures[key] = FailedRun(
-                workload=key.workload, policy=key.policy,
-                error_type=outcome.error_type, message=outcome.message,
-                bundle_path=outcome.bundle_path,
+            queue = SweepQueue.create_or_attach(
+                queue_dir, missing, settings=settings, code_fp=code_fp,
+                store=store.root,
+                digest=SweepQueue._spec_digest(cells, code_fp),
+                grid_file=scratch is None,
             )
-        else:
-            result.points[key] = outcome
-
-
-def _chunked(items: list, size: int) -> list:
-    return [items[i:i + size] for i in range(0, len(items), size)]
+            settled.queue = queue
+            if workers > 1:
+                _drain_with_fleet(queue, workers, settled)
+            # This process drains what is left (everything, with one
+            # worker) and assembles, all on one held connection.
+            with queue.connected():
+                if run_worker(queue, notify=settled.poll).interrupted:
+                    raise KeyboardInterrupt
+                settled.poll()
+                return assemble_result(keys, hits, queue)
+        finally:
+            if scratch is not None:
+                shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _fork_cell(args):
@@ -1042,41 +914,8 @@ def _finish_fork(snap, meta: _WorkloadMeta, cell) -> RunResult:
     return harvest_result(machine, meta)
 
 
-def _finish_fork_safe(snap, meta, cell):
-    try:
-        return _finish_fork(snap, meta, cell)
-    except Exception as exc:
-        return exc
-
-
-def _run_fork_chunk(snap, meta, cells: list) -> list:
-    """Continue several cells from one snapshot in one worker task.
-
-    The pickled snapshot crosses the process boundary once per chunk;
-    every cell in the chunk forks from the worker's in-memory copy.
-    """
-    return [_finish_fork_safe(snap, meta, cell) for cell in cells]
-
-
-def _run_point_safe(args):
-    """Run one grid point, returning the exception instead of raising."""
-    try:
-        return _run_point(args)
-    except Exception as exc:
-        return exc
-
-
-def _run_chunk(args_list: list) -> list:
-    """Execute several grid points in one worker task.
-
-    Returning per-point outcomes (result or exception) keeps the
-    one-bad-cell-never-kills-the-grid guarantee under chunking.
-    """
-    return [_run_point_safe(args) for args in args_list]
-
-
 def _run_point(args) -> RunResult:
-    """Execute one grid point (module-level for multiprocessing pickling)."""
+    """Execute one grid point cold."""
     (workload, policy, config, hyper, scale, seed,
      fault, max_events, stall_threshold, checks, bundle_dir) = args
     return run_workload(

@@ -6,17 +6,18 @@ processes — on any machine sharing the queue directory — at a
 Each worker:
 
 * claims open cells under a lease and heartbeats to keep it alive;
-* executes cells exactly as ``Sweep.run()`` would — through the shared
-  snapshot-fork runner when the cell belongs to a fork group (prefix
-  snapshots are cached on disk under the queue, so group members
-  executed by different workers still amortize the warm-up), cold
-  otherwise — so a queue-executed grid is byte-identical to the serial
-  oracle;
+* executes cells through the shared snapshot-fork runner when the cell
+  belongs to a fork group, cold otherwise.  The latest prefix snapshot
+  stays in memory, and every snapshot is kept in the queue's
+  fingerprint store, so group members executed by different workers
+  still amortize the warm-up.  Forked cells are byte-identical to cold
+  ones, so results never depend on which worker ran what;
 * when the queue configures ``cell_timeout``, runs each cell in a
   supervised child process and SIGKILLs it past the deadline — the
   wall-clock backstop for hangs in native/OS code that the in-sim
   event budgets and stall watchdog cannot see;
-* commits results idempotently and reports failures with their
+* commits results idempotently into the fingerprint store, recording
+  how each cell ran (forked or cold), and reports failures with their
   retryability (deterministic simulation failures are terminal;
   infrastructure failures retry with backoff until quarantine);
 * drains gracefully on SIGTERM/SIGINT: an in-process cell is finished
@@ -27,7 +28,6 @@ Each worker:
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
 import threading
 import time
@@ -65,7 +65,7 @@ class CellFailure:
     ``retryable`` distinguishes infrastructure failures (timeout, killed
     process — retry with backoff, quarantine after ``max_attempts``)
     from deterministic simulation failures (terminal, byte-identical to
-    what serial ``Sweep.run()`` would record).
+    what a plain run of the cell raises).
     """
 
     error_type: str
@@ -90,47 +90,68 @@ def _failure_from_exception(exc: BaseException,
 # ----------------------------------------------------------------------
 
 
-def execute_cell(args, group_fp: Optional[str] = None,
-                 snapshot_cache: Optional[SweepResultCache] = None):
-    """Run one grid cell exactly as the sweep executor would.
+class PrefixCache:
+    """Shared-prefix snapshots for :func:`execute_cell`.
 
-    A cell with a fork-group fingerprint goes through the shared
-    snapshot-fork runner (the prefix snapshot is loaded from — or run
-    once and stored into — ``snapshot_cache``); if the prefix fails, the
-    cell re-runs cold so its outcome is exactly a plain run's, matching
-    ``Sweep._run_group_serial``.  Returns a :class:`RunResult` or raises
-    the cell's own exception.
+    The latest group's ``(snapshot, meta)`` stays in memory, so the
+    members of a group that one worker runs back to back fork without
+    unpickling it again; every snapshot also goes to ``store`` (a
+    :class:`SweepResultCache`), where other workers find it.  After each
+    :func:`execute_cell`, ``prefix_events`` tells how the cell ran: the
+    prefix's event count when it forked, None when it ran cold.
     """
-    from repro.harness.sweep import (
-        _finish_fork,
-        _fork_cell,
-        _prepare_group,
-        _run_point,
-    )
 
+    def __init__(self, store: Optional[SweepResultCache] = None) -> None:
+        self.store = store
+        self.prefix_events: Optional[int] = None
+        self._last: Optional[tuple] = None  # (group_fp, snap, meta)
+
+    def snapshot(self, args, group_fp: str) -> tuple:
+        if self._last is None or self._last[0] != group_fp:
+            from repro.harness.sweep import _prepare_group
+
+            snap, meta = _prepare_group(args, self.store, group_fp)
+            self._last = (group_fp, snap, meta)
+        return self._last[1:]
+
+
+def execute_cell(args, group_fp: Optional[str] = None,
+                 prefixes: Optional[PrefixCache] = None):
+    """Run one grid cell; returns a :class:`RunResult` or raises.
+
+    A cell with a fork-group fingerprint continues from the group's
+    prefix snapshot (from ``prefixes``, or run once and stored there).
+    If the prefix itself fails, the cell re-runs cold, so its outcome
+    is exactly a plain run's.
+    """
+    from repro.harness.sweep import _finish_fork, _fork_cell, _run_point
+
+    prefixes = prefixes if prefixes is not None else PrefixCache()
+    prefixes.prefix_events = None
     if group_fp is not None:
         try:
-            snap, meta = _prepare_group(args, snapshot_cache, group_fp)
+            snap, meta = prefixes.snapshot(args, group_fp)
         except Exception:
             return _run_point(args)
+        prefixes.prefix_events = snap.events_executed
         return _finish_fork(snap, meta, _fork_cell(args))
     return _run_point(args)
 
 
-def _cell_child(conn, args, group_fp, cache_dir) -> None:
+def _cell_child(conn, args, group_fp, prefixes) -> None:
     """Child-process body: execute one cell, send the outcome back."""
     try:
-        cache = SweepResultCache(cache_dir) if cache_dir is not None else None
-        result = execute_cell(args, group_fp, cache)
-        conn.send(("ok", result))
+        result = execute_cell(args, group_fp, prefixes)
+        conn.send(("ok", result, prefixes.prefix_events))
     except BaseException as exc:  # noqa: BLE001 - the pipe is the report
         try:
-            conn.send(("failure", _failure_from_exception(exc)))
+            conn.send(("failure", _failure_from_exception(exc),
+                       prefixes.prefix_events))
         except Exception:
             conn.send(("failure", CellFailure(
                 error_type=type(exc).__name__,
                 message="<failure did not serialize>",
-            )))
+            ), None))
     finally:
         conn.close()
 
@@ -138,7 +159,7 @@ def _cell_child(conn, args, group_fp, cache_dir) -> None:
 def run_cell_supervised(
     args,
     group_fp: Optional[str] = None,
-    cache_dir=None,
+    prefixes: Optional[PrefixCache] = None,
     timeout: Optional[float] = None,
     stop: Optional[threading.Event] = None,
     poll: float = 0.05,
@@ -152,11 +173,14 @@ def run_cell_supervised(
     is set mid-cell (worker drain), the child is killed and the
     :data:`RELEASED` sentinel returned so the caller releases the lease.
     A child that dies without reporting (SIGKILL, OOM) yields a
-    retryable ``WorkerCrash`` failure.
+    retryable ``WorkerCrash`` failure.  ``prefixes.prefix_events`` is
+    set as :func:`execute_cell` would set it.
     """
+    prefixes = prefixes if prefixes is not None else PrefixCache()
+    prefixes.prefix_events = None
     recv, send = _CTX.Pipe(duplex=False)
     proc = _CTX.Process(
-        target=_cell_child, args=(send, args, group_fp, cache_dir)
+        target=_cell_child, args=(send, args, group_fp, prefixes)
     )
     proc.start()
     send.close()
@@ -185,7 +209,7 @@ def run_cell_supervised(
     outcome: Union[RunResult, CellFailure, object]
     if recv.poll():
         try:
-            _tag, outcome = recv.recv()
+            _tag, outcome, prefixes.prefix_events = recv.recv()
         except Exception:
             outcome = CellFailure(
                 error_type="WorkerCrash",
@@ -209,27 +233,32 @@ def run_cell_supervised(
 
 
 class _Heartbeat(threading.Thread):
-    """Extends one lease on a timer while the cell executes."""
+    """Extends the worker's current lease on a timer.
 
-    def __init__(self, queue: SweepQueue, lease: Lease, owner: str,
+    One thread serves the whole worker; ``lease`` is the cell in flight
+    (None between cells).
+    """
+
+    def __init__(self, queue: SweepQueue, owner: str,
                  interval: float) -> None:
-        super().__init__(daemon=True, name=f"heartbeat-{lease.idx}")
+        super().__init__(daemon=True, name=f"heartbeat-{owner}")
         self.queue = queue
-        self.lease = lease
         self.owner = owner
         self.interval = max(interval, 0.05)
+        self.lease: Optional[Lease] = None
         # Note: not named _stop; Thread itself defines a private _stop.
         self._halt = threading.Event()
-        self.lost = False
 
     def run(self) -> None:
         while not self._halt.wait(self.interval):
+            lease = self.lease
+            if lease is None:
+                continue
             try:
-                if not self.queue.heartbeat(self.lease.idx, self.owner):
-                    # The lease was reclaimed under us (e.g. the worker
-                    # was paused longer than the lease).  Keep executing:
-                    # the eventual commit is an idempotent no-op.
-                    self.lost = True
+                # A lost lease (reclaimed while the worker was paused
+                # longer than the lease) is not acted on: the worker
+                # keeps executing and its commit is an idempotent no-op.
+                self.queue.heartbeat(lease.idx, self.owner)
             except Exception:
                 pass  # transient DB contention; the next beat retries
 
@@ -274,7 +303,7 @@ class WorkerReport:
 
 
 def run_worker(
-    queue_dir,
+    queue,
     owner: Optional[str] = None,
     poll_interval: float = 0.5,
     max_cells: Optional[int] = None,
@@ -287,8 +316,8 @@ def run_worker(
     """Drain cells from a sweep queue until it is empty (or stopped).
 
     Args:
-        queue_dir: Directory of a queue created by ``Sweep.run(queue_dir=...)``
-            or :meth:`SweepQueue.create`.
+        queue: A :class:`SweepQueue`, or the directory of one created by
+            ``Sweep.run(queue_dir=...)`` or :meth:`SweepQueue.create`.
         owner: Worker identity recorded on every lease (default:
             ``host:pid:nonce``).
         poll_interval: Sleep between claim attempts when no cell is
@@ -324,67 +353,18 @@ def run_worker(
         }
     try:
         try:
-            queue = SweepQueue.open(queue_dir)
-            settings = queue.settings
-            cache = SweepResultCache(queue.cache_dir)
-            hb_interval = settings.lease_duration / 3.0
-            while not stop.is_set():
-                if max_cells is not None and report.claimed >= max_cells:
-                    break
-                lease = queue.claim(owner)
-                if lease is None:
-                    if exit_when_drained and queue.drained():
-                        break
-                    stop.wait(poll_interval)
-                    continue
-                report.claimed += 1
-                heartbeat = _Heartbeat(queue, lease, owner, hb_interval)
+            if not isinstance(queue, SweepQueue):
+                queue = SweepQueue.open(queue)
+            with queue.connected():
+                heartbeat = _Heartbeat(queue, owner,
+                                       queue.settings.lease_duration / 3.0)
                 heartbeat.start()
                 try:
-                    if settings.cell_timeout is not None:
-                        outcome = run_cell_supervised(
-                            lease.args, lease.group_fp, queue.cache_dir,
-                            timeout=settings.cell_timeout, stop=stop,
-                        )
-                    else:
-                        # In-process execution: a drain request arriving
-                        # mid-cell waits for the cell to finish (it is
-                        # committed, never stranded).
-                        try:
-                            outcome = execute_cell(
-                                lease.args, lease.group_fp, cache
-                            )
-                        except KeyboardInterrupt:
-                            raise
-                        except Exception as exc:
-                            outcome = _failure_from_exception(exc)
-                except KeyboardInterrupt:
-                    # Interrupted mid-cell without installed handlers:
-                    # hand the lease back before draining so the cell is
-                    # never stranded behind a dead worker's lease.
-                    queue.release(lease.idx, owner)
-                    report.released += 1
-                    raise
+                    _drain(queue, owner, stop, report, heartbeat,
+                           poll_interval, max_cells, exit_when_drained,
+                           progress, notify)
                 finally:
                     heartbeat.stop()
-                if outcome is RELEASED:
-                    queue.release(lease.idx, owner)
-                    report.released += 1
-                    break
-                if isinstance(outcome, CellFailure):
-                    queue.fail(
-                        lease.idx, owner, outcome.error_type, outcome.message,
-                        retryable=outcome.retryable,
-                        bundle_path=outcome.bundle_path,
-                    )
-                    report.failed += 1
-                else:
-                    queue.complete(lease.idx, owner, outcome)
-                    report.completed += 1
-                if notify is not None:
-                    notify()
-                if progress is not None:
-                    progress(report, queue.stats())
         except KeyboardInterrupt:
             # Graceful drain for interrupts that bypass the handler path
             # (library callers without install_signal_handlers): whether
@@ -397,3 +377,67 @@ def run_worker(
             for sig, handler in previous.items():
                 signal.signal(sig, handler)
     return report
+
+
+def _drain(queue: SweepQueue, owner: str, stop: threading.Event,
+           report: WorkerReport, heartbeat: _Heartbeat, poll_interval,
+           max_cells, exit_when_drained, progress, notify) -> None:
+    """The claim -> execute -> commit loop of :func:`run_worker`."""
+    settings = queue.settings
+    prefixes = PrefixCache(queue.store)
+    while not stop.is_set():
+        if max_cells is not None and report.claimed >= max_cells:
+            break
+        lease = queue.claim(owner)
+        if lease is None:
+            if exit_when_drained and queue.drained():
+                break
+            stop.wait(poll_interval)
+            continue
+        report.claimed += 1
+        heartbeat.lease = lease
+        try:
+            if settings.cell_timeout is not None:
+                outcome = run_cell_supervised(
+                    lease.args, lease.group_fp, prefixes,
+                    timeout=settings.cell_timeout, stop=stop,
+                )
+            else:
+                # In-process execution: a drain request arriving
+                # mid-cell waits for the cell to finish (it is
+                # committed, never stranded).
+                try:
+                    outcome = execute_cell(lease.args, lease.group_fp,
+                                           prefixes)
+                except KeyboardInterrupt:
+                    raise
+                except Exception as exc:
+                    outcome = _failure_from_exception(exc)
+        except KeyboardInterrupt:
+            # Interrupted mid-cell without installed handlers: hand the
+            # lease back before draining so the cell is never stranded
+            # behind a dead worker's lease.
+            queue.release(lease.idx, owner)
+            report.released += 1
+            raise
+        finally:
+            heartbeat.lease = None
+        if outcome is RELEASED:
+            queue.release(lease.idx, owner)
+            report.released += 1
+            break
+        if isinstance(outcome, CellFailure):
+            queue.fail(
+                lease.idx, owner, outcome.error_type, outcome.message,
+                retryable=outcome.retryable, bundle_path=outcome.bundle_path,
+                prefix_events=prefixes.prefix_events,
+            )
+            report.failed += 1
+        else:
+            queue.complete(lease.idx, owner, outcome,
+                           prefixes.prefix_events)
+            report.completed += 1
+        if notify is not None:
+            notify()
+        if progress is not None:
+            progress(report, queue.stats())

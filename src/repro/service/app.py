@@ -1,15 +1,17 @@
 """``repro serve``: a fault-tolerant async experiment service.
 
-The service is a thin, heavily-guarded front end over the machinery the
-harness already proves byte-identical to serial ``Sweep.run()``:
+The service is a thin, heavily-guarded front end over the machinery
+``Sweep.run()`` itself executes on, so its results are byte-identical
+to a ``Sweep.run()`` of the same grid:
 
 * submissions arrive as JSON sweep specs (:func:`sweep_from_spec`) and
   are canonicalized to the queue's spec digest, so identical submissions
   — sequential or concurrent — share one execution;
-* the fingerprint cache answers already-computed cells immediately;
+* the fingerprint store answers already-computed cells immediately;
   only missing cells are enqueued (:func:`partition_cached_cells`);
 * missing cells run through a :class:`SweepQueue` drained by a
-  supervised local worker fleet (:class:`FleetSupervisor`);
+  supervised local worker fleet (:class:`FleetSupervisor`), whose
+  workers commit straight into that store;
 * per-cell progress streams back as NDJSON while the fleet works.
 
 Robustness is the point, not a bolt-on: a bounded admission budget sheds
@@ -38,15 +40,14 @@ from typing import Callable, Optional
 
 from repro.harness.io import (
     SweepResultCache,
-    load_result,
     sweep_key_to_dict,
     sweep_result_to_dict,
 )
 from repro.harness.queue import QueueSettings, SweepQueue
-from repro.harness.results import FailedRun
 from repro.harness.sweep import (
     SpecError,
     SweepResult,
+    assemble_result,
     partition_cached_cells,
     plan_queue_cells,
     sweep_from_spec,
@@ -84,6 +85,8 @@ class Submission:
     cancel_reason: Optional[str] = None
     error: Optional[str] = None
     events: list = field(default_factory=list)
+    settled: set = field(default_factory=set)  # queue cells published
+    seq: int = 0                   # last queue event read
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
     task: Optional[asyncio.Task] = None
     # Set when the supervisor has something to look at: a worker
@@ -245,6 +248,7 @@ class ExperimentService:
             queue = SweepQueue.create(
                 self._new_queue_dir(prep["digest"]), missing,
                 settings=settings, code_fp=prep["code_fp"],
+                store=self.cache.root,
             )
             fleet = FleetSupervisor(
                 queue, size=self.workers, breaker=self.breaker,
@@ -264,48 +268,19 @@ class ExperimentService:
     # Supervision
     # ------------------------------------------------------------------
 
-    def _emit_cell_events(self, sub: Submission, seen: dict) -> None:
+    def _emit_cell_events(self, sub: Submission) -> None:
         """Append a progress event for every newly settled queue cell."""
-        if sub.queue is None:
-            return
-        for qi, row in enumerate(sub.queue.rows()):
-            _idx, status, _owner, _last, attempts = row[:5]
-            if status in ("done", "failed", "quarantined") \
-                    and seen.get(qi) != status:
-                seen[qi] = status
-                grid_index = sub.qgrid[qi]
-                key = sub.cells[grid_index][0]
-                sub.publish({
-                    "event": "cell", "index": grid_index, "status": status,
-                    "attempts": attempts, "key": sweep_key_to_dict(key),
-                })
-
-    def _harvest(self, sub: Submission) -> None:
-        """Copy every completed queue cell into the fingerprint cache.
-
-        Run after the fleet stops (teardown), so an identical
-        resubmission — including one resuming a deadline-cancelled run —
-        is served from cache for everything already computed and
-        enqueues only the remainder.  Failures are never cached: a
-        resubmission retries them.
-        """
-        for qi, row in enumerate(sub.queue.rows()):
-            _idx, status = row[0], row[1]
-            result_path = row[7]
-            if status != "done" or result_path is None:
+        for seq, qi, status, attempts in sub.queue.settled(sub.seq):
+            sub.seq = seq
+            if qi in sub.settled:
                 continue
-            fingerprint = sub.missing[qi][2]
-            if fingerprint is None:
-                continue
-            if self.cache.load(fingerprint) is None:
-                self.cache.store(fingerprint, load_result(result_path))
-
-    def _teardown_sync(self, sub: Submission) -> None:
-        """Blocking cleanup: stop the fleet, harvest results (executor)."""
-        if sub.fleet is not None:
-            sub.fleet.drain(self.drain_grace)
-        if sub.queue is not None:
-            self._harvest(sub)
+            sub.settled.add(qi)
+            grid_index = sub.qgrid[qi]
+            key = sub.cells[grid_index][0]
+            sub.publish({
+                "event": "cell", "index": grid_index, "status": status,
+                "attempts": attempts, "key": sweep_key_to_dict(key),
+            })
 
     async def _supervise(self, sub: Submission) -> None:
         """Own one submission: drive the fleet until done/dead/cancelled.
@@ -315,7 +290,6 @@ class ExperimentService:
         the timed work: lease reaping and restart backoff.
         """
         loop = asyncio.get_running_loop()
-        seen: dict = {}
         watch = None
         try:
             await loop.run_in_executor(None, sub.fleet.start)
@@ -325,7 +299,7 @@ class ExperimentService:
                 await loop.run_in_executor(None, sub.queue.reap)
                 await loop.run_in_executor(None, sub.fleet.poll)
                 watch.sync()
-                self._emit_cell_events(sub, seen)
+                self._emit_cell_events(sub)
                 if sub.cancel_reason is not None:
                     sub.state = "cancelled"
                     break
@@ -348,10 +322,10 @@ class ExperimentService:
             if watch is not None:
                 watch.close()
             with contextlib.suppress(asyncio.CancelledError):
-                await asyncio.shield(
-                    loop.run_in_executor(None, self._teardown_sync, sub)
-                )
-            self._emit_cell_events(sub, seen)
+                await asyncio.shield(loop.run_in_executor(
+                    None, sub.fleet.drain, self.drain_grace
+                ))
+            self._emit_cell_events(sub)
             # Workers finishing their last cell during the graceful drain
             # can complete the grid; honor that, but a requested cancel
             # keeps its state so the client sees why the fleet stopped.
@@ -376,39 +350,11 @@ class ExperimentService:
             sub.done_event.set()
 
     def _assemble(self, sub: Submission) -> SweepResult:
-        """Merge cache hits and queue outcomes back into grid order.
-
-        Mirrors :meth:`SweepQueue.collect` for the queued subset, so the
-        serialized result is byte-identical to serial ``Sweep.run()``.
-        """
-        cached_map = {index: (key, result)
-                      for index, key, _fp, result in sub.cached}
-        qrows = sub.queue.rows() if sub.queue is not None else []
-        qmap = {sub.qgrid[qi]: row for qi, row in enumerate(qrows)}
-        result = SweepResult()
-        for grid_index, (key, _args, _fp, _gfp) in enumerate(sub.cells):
-            if grid_index in cached_map:
-                result.points[key] = cached_map[grid_index][1]
-                continue
-            (_idx, status, _owner, last_owner, attempts, error_type,
-             message, result_path, bundle_path) = qmap[grid_index]
-            if status == "done":
-                result.points[key] = load_result(result_path)
-            elif status in ("failed", "quarantined"):
-                result.failures[key] = FailedRun(
-                    workload=key.workload, policy=key.policy,
-                    error_type=error_type or status, message=message or "",
-                    bundle_path=bundle_path, attempts=max(attempts, 1),
-                    last_owner=last_owner,
-                )
-            else:
-                result.failures[key] = FailedRun(
-                    workload=key.workload, policy=key.policy,
-                    error_type="Incomplete",
-                    message=f"cell still {status} when collected",
-                    attempts=max(attempts, 1), last_owner=last_owner,
-                )
-        return result
+        """Merge cache hits and queue outcomes back into grid order."""
+        return assemble_result(
+            [key for key, _args, _fp, _gfp in sub.cells],
+            {key: run for _index, key, _fp, run in sub.cached}, sub.queue,
+        )
 
     # ------------------------------------------------------------------
     # HTTP handlers

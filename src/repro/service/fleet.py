@@ -1,7 +1,8 @@
-"""Worker-fleet supervision for ``repro serve``.
+"""Worker-fleet supervision for ``repro serve`` and ``Sweep.run``.
 
 A :class:`FleetSupervisor` owns the local worker processes draining one
-submission's :class:`~repro.harness.queue.SweepQueue`.  Its contract:
+:class:`~repro.harness.queue.SweepQueue` — a service submission's, or a
+``Sweep.run(workers=N)`` grid's.  Its contract:
 
 * a worker that exits while the grid is still live is a *fleet failure*:
   it is restarted after capped exponential backoff with decorrelated
@@ -17,12 +18,12 @@ submission's :class:`~repro.harness.queue.SweepQueue`.  Its contract:
   lease — never strand it), escalating to SIGKILL only past the grace
   period, then reaps the queue so any killed stragglers' leases recover.
 
-The service's asyncio loop drives the supervisor through ``poll()``,
-without threads; everything it calls is non-blocking.  The supervisor
-also tells the loop when to call it: default workers write one byte to
-the ``notify_fd`` pipe after each commit, each process's ``sentinel``
-turns readable when it exits, and ``next_restart_in()`` bounds the wait
-for a pending restart.
+The service's asyncio loop (or ``Sweep.run``'s select loop) drives the
+supervisor through ``poll()``, without threads; everything it calls is
+non-blocking.  The supervisor also tells the loop when to call it:
+default workers write one byte to the ``notify_fd`` pipe after each
+commit, each process's ``sentinel`` turns readable when it exits, and
+``next_restart_in()`` bounds the wait for a pending restart.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _CTX = multiprocessing.get_context(
 )
 
 
-def _worker_entry(queue_dir: str, notify_fd: Optional[int] = None) -> None:
+def _worker_entry(queue, notify_fd: Optional[int] = None) -> None:
     # Fork children inherit the parent's asyncio signal wakeup fd (the
     # event loop's self-pipe socketpair).  Left in place, a SIGTERM
     # delivered to the *worker* writes its signal byte into that shared
@@ -57,18 +58,22 @@ def _worker_entry(queue_dir: str, notify_fd: Optional[int] = None) -> None:
                 os.write(notify_fd, b"\0")
             except OSError:
                 pass  # pipe full (a wakeup is already pending) or closed
-    run_worker(queue_dir, install_signal_handlers=True, notify=notify)
+    run_worker(queue, install_signal_handlers=True, notify=notify)
 
 
-def default_worker_factory(queue_dir: str, notify_fd: Optional[int] = None):
+def default_worker_factory(queue, notify_fd: Optional[int] = None):
     """Start one queue worker process (the production fleet member).
 
-    ``notify_fd`` is the write end of a pipe the worker writes one byte
-    to after each commit.  Only a forked child inherits it.
+    ``queue`` is a :class:`SweepQueue` or its directory.  A forked child
+    inherits the queue object, in-memory grid included, and
+    ``notify_fd``: the write end of a pipe the worker writes one byte to
+    after each commit.  A spawned child gets neither; it re-opens the
+    queue from its directory.
     """
     if _CTX.get_start_method() != "fork":
         notify_fd = None
-    proc = _CTX.Process(target=_worker_entry, args=(queue_dir, notify_fd))
+        queue = str(getattr(queue, "root", queue))
+    proc = _CTX.Process(target=_worker_entry, args=(queue, notify_fd))
     proc.start()
     return proc
 
@@ -122,7 +127,7 @@ class FleetSupervisor:
     def _spawn(self):
         if self.worker_factory is not None:
             return self.worker_factory(str(self.queue.root))
-        return default_worker_factory(str(self.queue.root), self._notify_w)
+        return default_worker_factory(self.queue, self._notify_w)
 
     def start(self) -> None:
         if self.worker_factory is None and self.notify_fd is None:

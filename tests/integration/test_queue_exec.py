@@ -3,8 +3,9 @@
 The contract under test: a sweep drained through the on-disk queue —
 by in-process degradation, by a local worker fleet, or by a fleet that
 loses a worker to SIGKILL mid-cell — produces a grid byte-identical to
-serial ``Sweep.run()``, and a cell that can never finish is quarantined
-with an evidence bundle instead of wedging the grid.
+a cold loop of ``run_workload`` over the grid, and a cell that can never
+finish is quarantined with an evidence bundle instead of wedging the
+grid.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.harness.sweep import Sweep, plan_queue_cells
 from repro.harness.worker import _CTX, run_worker
 from repro.perf.fingerprint import code_fingerprint
 from repro.workloads.registry import get_workload
+from tests.oracle import cold_sweep
 
 _BASE = GriffinHyperParams.calibrated()
 
@@ -100,7 +102,7 @@ class HangingWorkload:
 class TestQueueParity:
     @pytest.fixture(scope="class")
     def serial(self):
-        return _knob_sweep().run(scale=0.008, seed=5)
+        return cold_sweep(_knob_sweep(), 0.008, 5)
 
     def test_degraded_in_process_drain_matches_serial(self, serial,
                                                       tmp_path):
@@ -123,7 +125,7 @@ class TestQueueParity:
                          policies=["griffin", "no_such_policy"],
                          configs={"tiny": tiny_system(2)})
 
-        serial = sweep().run(scale=0.008, seed=5)
+        serial = cold_sweep(sweep(), 0.008, 5)
         queued = sweep().run(scale=0.008, seed=5, queue_dir=tmp_path / "q")
         assert _dump(queued) == _dump(serial)
         assert _dump_failures(queued) == _dump_failures(serial)
@@ -151,7 +153,7 @@ class TestWorkerDeath:
             return Sweep(workloads=[slow, "SC"], policies=["griffin"],
                          configs={"tiny": cfg})
 
-        serial = make_sweep().run(scale=0.008, seed=5)
+        serial = cold_sweep(make_sweep(), 0.008, 5)
         assert not serial.failures
 
         grid = list(make_sweep()._grid(0.008, 5, None, 1_000_000))
@@ -245,22 +247,30 @@ class TestQuarantine:
 
 class TestCellTimeoutClassic:
     def test_classic_path_timeout_fails_one_cell(self):
-        """Sweep.run(cell_timeout=...) without a queue: same backstop."""
+        """Sweep.run(cell_timeout=...) without a queue_dir: same backstop.
+
+        The temporary queue retries the timed-out cell under
+        ``max_attempts``, then quarantines it, like any queue.
+        """
         cfg = tiny_system(2)
         sweep = Sweep(workloads=[HangingWorkload(cfg.page_size), "SC"],
                       policies=["griffin"], configs={"tiny": cfg})
-        result = sweep.run(scale=0.008, seed=5, cell_timeout=1.0)
+        result = sweep.run(scale=0.008, seed=5, cell_timeout=1.0,
+                           max_attempts=2, backoff_base=0.05,
+                           backoff_cap=0.2)
         assert len(result.points) == 1
         (failure,) = result.failures.values()
         assert failure.error_type == "CellTimeout"
         assert "wall-clock timeout" in failure.message
+        assert failure.attempts == 2
 
     def test_supervised_results_match_serial(self):
-        serial = _knob_sweep().run(scale=0.008, seed=5)
+        serial = cold_sweep(_knob_sweep(), 0.008, 5)
         supervised = _knob_sweep().run(scale=0.008, seed=5,
                                        cell_timeout=300.0)
         assert not supervised.failures
         assert _dump(supervised) == _dump(serial)
+        assert supervised.forked_cells == 4
 
 
 class TestQueueCLI:
@@ -271,7 +281,7 @@ class TestQueueCLI:
                      "--queue-dir", queue_dir])
         assert code == 0
         out = capsys.readouterr().out
-        assert "queue: 1 done, 0 failed, 0 quarantined" in out
+        assert "cells: 1 (forked 0, cold 1, cached 0)" in out
         # The queue is drained; a late worker attaches, finds nothing to
         # do, and exits cleanly.
         assert main(["worker", queue_dir]) == 0

@@ -1,11 +1,11 @@
 """End-to-end tests for ``repro serve``: parity, dedupe, robustness.
 
-The contract: anything the service computes is byte-identical to serial
-``Sweep.run()``; anything it has computed before is answered from the
-fingerprint cache without touching the simulator; and every failure
-mode (over-admission, deadlines, dying fleets, SIGTERM) degrades the
-request or flips to cache-only mode — never wedges the service or
-strands a lease.
+The contract: anything the service computes is byte-identical to a cold
+loop of ``run_workload`` over the grid; anything it has computed before
+is answered from the fingerprint cache without touching the simulator;
+and every failure mode (over-admission, deadlines, dying fleets,
+SIGTERM) degrades the request or flips to cache-only mode — never
+wedges the service or strands a lease.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.harness.sweep import plan_queue_cells, sweep_from_spec
 from repro.harness.worker import _CTX
 from repro.service.app import ExperimentService
 from repro.service.fleet import FleetSupervisor
+from tests.oracle import cold_spec
 
 SPEC4 = {
     "workloads": ["MT"],
@@ -50,28 +51,19 @@ SPEC1 = {
 }
 
 
-def _run_serial(spec):
-    sweep, params = sweep_from_spec(spec)
-    return sweep.run(
-        scale=params["scale"], seed=params["seed"],
-        max_events_per_run=params["max_events_per_run"],
-        stall_threshold=params["stall_threshold"],
-    )
-
-
 @pytest.fixture(scope="module")
 def oracle4():
-    return _run_serial(SPEC4)
+    return cold_spec(SPEC4)
 
 
 @pytest.fixture(scope="module")
 def oracle2():
-    return _run_serial(SPEC2)
+    return cold_spec(SPEC2)
 
 
 @pytest.fixture(scope="module")
 def oracle1():
-    return _run_serial(SPEC1)
+    return cold_spec(SPEC1)
 
 
 def _start(root, **kwargs) -> ExperimentService:

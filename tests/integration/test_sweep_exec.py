@@ -1,14 +1,15 @@
-"""Sweep execution strategies: fork/cold, serial/parallel, cache/resume.
+"""Sweep execution: fork/cold, in-process/worker fleet, store/resume.
 
 The contract under test: a sweep's results are a pure function of its
-grid — identical bytes in identical key order no matter the execution
-strategy (``fork`` on or off, any ``workers``, any ``chunk_size``,
-resumed from cache or fresh).
+grid — identical bytes in identical key order no matter how it executes
+(``fork`` on or off, any ``workers``, resumed from the store or fresh),
+and identical to a cold loop of ``run_workload`` over the grid.
 """
 
 from __future__ import annotations
 
 import json
+import tempfile
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.harness.sweep import (
     group_fingerprint,
 )
 from repro.workloads.registry import get_workload
+from tests.oracle import cold_sweep
 
 _BASE = GriffinHyperParams.calibrated()
 
@@ -49,23 +51,29 @@ def _dump(result) -> list:
 
 class TestExecutionParity:
     @pytest.fixture(scope="class")
+    def oracle(self):
+        return cold_sweep(_knob_sweep(), 0.008, 5)
+
+    @pytest.fixture(scope="class")
     def serial(self):
         return _knob_sweep().run(scale=0.008, seed=5)
 
-    def test_serial_fork_matches_cold(self, serial):
+    def test_serial_fork_matches_cold(self, serial, oracle):
         cold = _knob_sweep().run(scale=0.008, seed=5, fork=False)
         assert not serial.failures and not cold.failures
-        assert _dump(serial) == _dump(cold)
+        assert _dump(serial) == _dump(oracle)
+        assert _dump(cold) == _dump(oracle)
         assert serial.forked_cells == 4 and serial.cold_cells == 0
         assert cold.forked_cells == 0 and cold.cold_cells == 4
 
-    def test_parallel_matches_serial(self, serial):
-        """workers=4 with a non-default chunk size: same bytes, same order."""
-        parallel = _knob_sweep().run(
-            scale=0.008, seed=5, workers=4, chunk_size=3
-        )
+    def test_parallel_matches_serial(self, serial, oracle):
+        """Two local workers: same bytes, same order, same fork counters."""
+        parallel = _knob_sweep().run(scale=0.008, seed=5, workers=2)
         assert not parallel.failures
-        assert _dump(parallel) == _dump(serial)
+        assert _dump(parallel) == _dump(oracle)
+        assert parallel.forked_cells == 4 and parallel.cold_cells == 0
+        assert parallel.fork_groups == serial.fork_groups == 1
+        assert parallel.prefix_events == serial.prefix_events
 
     def test_group_planning(self, serial):
         # griffin/griffin_flush x default/eager differ only in late
@@ -76,11 +84,11 @@ class TestExecutionParity:
 
 class TestBlastRadius:
     def test_unpicklable_cell_does_not_kill_its_chunk(self):
-        """A cell whose inputs can't reach a worker falls back in-parent.
+        """A cell whose inputs cannot pickle still runs.
 
-        Both cells of the chunk still succeed: the parent retries them
-        serially, where no pickling is involved.  (Previously the whole
-        chunk was blamed and every cell in it became a FailedRun.)
+        Forked local workers inherit the in-memory grid, so nothing is
+        pickled on the way to them; only external ``repro worker``
+        processes need a pickled grid.
         """
         workload = get_workload("MT", scale=0.008, seed=5,
                                 page_size=tiny_system(2).page_size)
@@ -90,7 +98,7 @@ class TestBlastRadius:
             policies=["baseline", "griffin"],
             configs={"tiny": tiny_system(2)},
         )
-        result = sweep.run(scale=0.008, seed=5, workers=2, chunk_size=2)
+        result = sweep.run(scale=0.008, seed=5, workers=2)
         assert not result.failures
         assert len(result.points) == 2
         assert {k.policy for k in result.points} == {"baseline", "griffin"}
@@ -101,7 +109,7 @@ class TestBlastRadius:
             policies=["griffin", "no_such_policy"],
             configs={"tiny": tiny_system(2)},
         )
-        result = sweep.run(scale=0.008, seed=5, workers=2, chunk_size=2)
+        result = sweep.run(scale=0.008, seed=5, workers=2)
         assert len(result.points) == 1
         assert len(result.failures) == 1
         (failure,) = result.failures.values()
@@ -133,8 +141,7 @@ class TestCacheResume:
         assert resumed.cache_misses == 2  # only griffin_flush cells ran
         assert len(resumed.points) == 4
 
-        fresh = full.run(scale=0.008, seed=5)
-        assert _dump(resumed) == _dump(fresh)
+        assert _dump(resumed) == _dump(cold_sweep(full, 0.008, 5))
 
     def test_cache_dir_without_resume_never_reads(self, tmp_path):
         sweep = Sweep(workloads=["MT"], policies=["griffin"],
@@ -150,6 +157,40 @@ class TestCacheResume:
                             max_events_per_run=10)
         assert len(starved.failures) == 1
         assert not list((tmp_path / "results").glob("*.json"))
+
+
+class TestProgress:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_fires_once_per_settled_cell(self, workers):
+        calls = []
+        result = _knob_sweep().run(
+            scale=0.008, seed=5, workers=workers,
+            progress=lambda done, total, key: calls.append(
+                (done, total, key)),
+        )
+        assert [done for done, _t, _k in calls] == [1, 2, 3, 4]
+        assert {total for _d, total, _k in calls} == {4}
+        assert sorted(map(str, (key for _d, _t, key in calls))) == sorted(
+            map(str, result.points))
+
+    def test_resumed_hits_report_progress(self, tmp_path):
+        _knob_sweep().run(scale=0.008, seed=5, cache_dir=tmp_path)
+        calls = []
+        again = _knob_sweep().run(
+            scale=0.008, seed=5, cache_dir=tmp_path, resume=True,
+            progress=lambda done, total, key: calls.append(key),
+        )
+        assert again.cache_hits == 4
+        assert calls == list(again.points)
+
+
+class TestNoLeftovers:
+    def test_storeless_sweep_removes_its_queue_and_store(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        result = _knob_sweep().run(scale=0.008, seed=5, workers=2)
+        assert len(result.points) == 4
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFingerprints:
