@@ -37,6 +37,7 @@ from repro.harness.io import load_result, result_to_dict, save_result
 from repro.harness.runner import run_workload
 from repro.harness.sweep import Sweep
 from repro.sim.engine import SimulationStall
+from tests.oracle import cold_sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from gen_golden_parity import PARITY_GRID, _CONFIGS, PARITY_FAULTS  # noqa: E402
@@ -242,7 +243,7 @@ def test_checked_sweep_matches_unchecked_bytes():
 
     sweep = Sweep(workloads=["MT"], policies=["baseline", "griffin"],
                   configs={"tiny": tiny_system(2)})
-    unchecked = sweep.run(scale=0.008, seed=5)
+    unchecked = cold_sweep(sweep, 0.008, 5)
     checked = sweep.run(scale=0.008, seed=5, checks=CheckConfig())
     assert not checked.failures
     assert dump(checked) == dump(unchecked)

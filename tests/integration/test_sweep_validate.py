@@ -6,6 +6,7 @@ from repro.config.hyperparams import GriffinHyperParams
 from repro.config.presets import tiny_system
 from repro.harness.sweep import Sweep, SweepKey
 from repro.harness.validate import CheckResult, validate_reproduction
+from tests.oracle import cold_sweep
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ class TestParallelSweep:
     def test_parallel_matches_serial(self):
         sweep = Sweep(workloads=["ST"], policies=["baseline", "griffin"],
                       configs={"default": tiny_system()})
-        serial = sweep.run(scale=0.005, seed=5, workers=1)
+        serial = cold_sweep(sweep, 0.005, 5)
         parallel = sweep.run(scale=0.005, seed=5, workers=2)
         for key, run in serial.points.items():
             other = parallel.points[key]
