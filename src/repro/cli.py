@@ -317,35 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "narrow (default 1000)")
     replay_p.add_argument("--max-events", type=int, default=None, metavar="N",
                           help="override the replay event budget")
-
-    bench_p = sub.add_parser(
-        "bench", help="run the pinned perf suite and write BENCH_<date>.json"
-    )
-    bench_p.add_argument("--quick", action="store_true",
-                         help="small suite for CI smoke runs")
-    bench_p.add_argument("--repeat", type=int, default=0, metavar="N",
-                         help="timing repeats per case (best-of-N; "
-                              "default 3, 1 with --quick)")
-    bench_p.add_argument("--label", default="",
-                         help="label embedded in the output filename")
-    bench_p.add_argument("--out-dir", default=".", metavar="DIR",
-                         help="directory for BENCH_<date>_<label>.json")
-    bench_p.add_argument("--baseline", default="auto", metavar="PATH",
-                         help="previous BENCH_*.json to diff against "
-                              "('auto' = newest in --out-dir, 'none' skips)")
-    bench_p.add_argument("--fail-factor", type=float, default=2.0,
-                         metavar="X",
-                         help="exit non-zero only if normalized e2e "
-                              "throughput regressed more than X times "
-                              "(generous on purpose; CI gate)")
-    bench_p.add_argument("--no-save", action="store_true",
-                         help="measure and print without writing a file")
-    bench_p.add_argument("--engine-backend",
-                         choices=ENGINE_BACKENDS,
-                         default="heap",
-                         help="event-core backend every case runs on (the "
-                              "compiled_vs_python cases always measure both "
-                              "of their backends)")
     return parser
 
 
@@ -722,73 +693,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if outcome.reproduced else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import os
-    from pathlib import Path
-
-    from repro.perf.bench import (
-        compare_reports,
-        find_previous_report,
-        load_report,
-        run_bench,
-        save_report,
-    )
-    from repro.sim.backends import BACKEND_ENV, resolve_backend
-
-    # Fail fast on an unknown backend or an unbuilt compiled extension
-    # (covers the --engine-backend flag and the env override alike).
-    resolve_backend(args.engine_backend)
-    previous = os.environ.get(BACKEND_ENV)
-    if args.engine_backend != "heap":
-        # Suite cases build their own configs; the env override reaches
-        # them all.  It is restored afterwards so later calls in this
-        # process run on the backend they ask for.
-        os.environ[BACKEND_ENV] = args.engine_backend
-    try:
-        report = run_bench(
-            quick=args.quick, repeats=args.repeat, label=args.label,
-            progress=lambda name: print(f"  running {name} ...",
-                                        file=sys.stderr),
-        )
-    finally:
-        if previous is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = previous
-    print(report.render())
-    saved = None
-    if not args.no_save:
-        saved = save_report(report, args.out_dir)
-        print(f"\nreport written to {saved}")
-
-    if args.baseline == "none":
-        return 0
-    if args.baseline == "auto":
-        baseline_path = find_previous_report(args.out_dir, exclude=saved)
-        if baseline_path is None:
-            print("\nno previous BENCH_*.json found; nothing to diff")
-            return 0
-    else:
-        baseline_path = Path(args.baseline)
-    comparison = compare_reports(
-        load_report(baseline_path), report, fail_factor=args.fail_factor
-    )
-    if saved is not None:
-        # Embed both verdicts (raw and calibration-normalized) in the
-        # saved report so the artifact records how the gate was judged,
-        # not just the measurements.  load_report ignores unknown keys.
-        import json
-
-        payload = json.loads(saved.read_text())
-        payload["comparison"] = comparison.to_dict()
-        payload["comparison"]["baseline"] = str(baseline_path)
-        saved.write_text(json.dumps(payload, indent=1, sort_keys=True))
-    print()
-    print(f"baseline: {baseline_path}")
-    print(comparison.render())
-    return 1 if comparison.regressed else 0
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "compare": _cmd_compare,
@@ -801,7 +705,6 @@ _COMMANDS = {
     "queue": _cmd_queue,
     "serve": _cmd_serve,
     "replay": _cmd_replay,
-    "bench": _cmd_bench,
 }
 
 

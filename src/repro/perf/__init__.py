@@ -1,33 +1,8 @@
-"""Performance measurement harness (``griffin-sim bench``).
+"""The source-tree fingerprint (:mod:`repro.perf.fingerprint`).
 
-The perf subsystem keeps the simulator fast by making speed measurable and
-regressions visible:
-
-* :mod:`repro.perf.suite` — the pinned micro + end-to-end benchmark suite.
-  Every case fixes its workload, policy, system config, scale, and seed so
-  two runs of the suite measure the same simulated work.
-* :mod:`repro.perf.bench` — runs the suite, records wall time, events/sec,
-  peak RSS, and allocation counts into ``BENCH_<date>.json`` (with a config
-  fingerprint), and diffs against a previous run.
-
-See ``docs/performance.md`` for how to read the output and the fast-path
-invariants the measured hot paths rely on.
+It keys every stored result: the sweep's store, ``repro serve``, the
+lease queue and crash bundles.  It lives here, not under ``repro.harness``,
+because ``perfbench/run.py`` imports ``repro.perf.fingerprint`` to
+record the tree it measured.  Performance is measured by ``perfbench/``
+at the repository root; see ``docs/performance.md``.
 """
-
-from repro.perf.bench import (
-    BenchReport,
-    compare_reports,
-    load_report,
-    run_bench,
-    save_report,
-)
-from repro.perf.suite import bench_suite
-
-__all__ = [
-    "BenchReport",
-    "bench_suite",
-    "compare_reports",
-    "load_report",
-    "run_bench",
-    "save_report",
-]

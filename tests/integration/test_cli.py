@@ -95,50 +95,11 @@ def test_run_engine_backend_ring_exits_2(capsys):
         main(argv)
     assert exc.value.code == 2
     assert "invalid choice: 'ring'" in capsys.readouterr().err
+
+
+def test_bench_is_not_a_subcommand(capsys):
+    """Performance is measured by perfbench; the CLI has no bench."""
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--quick", "--engine-backend", "ring"])
+        main(["bench"])
     assert exc.value.code == 2
-
-
-def test_bench_parser_accepts_label_and_backend():
-    """`bench --label` names the report file; `--engine-backend` runs the
-    suite under the compiled core (the compiled-parity CI job uses both)."""
-    from repro.cli import _build_parser
-
-    args = _build_parser().parse_args(
-        ["bench", "--quick", "--label", "compiled-ci",
-         "--engine-backend", "compiled", "--baseline", "none"]
-    )
-    assert args.label == "compiled-ci"
-    assert args.engine_backend == "compiled"
-    assert args.quick
-
-
-@pytest.mark.parametrize("previous", [None, "heap"])
-def test_bench_restores_backend_env(monkeypatch, capsys, previous):
-    """`bench --engine-backend X` scopes its env override to the suite
-    run: later calls in the same process see the environment unchanged."""
-    import os
-
-    from repro.perf import bench
-    from repro.sim import backends
-
-    seen = []
-
-    def stub_run_bench(quick, repeats, label, progress):
-        seen.append(os.environ.get(backends.BACKEND_ENV))
-        return bench.BenchReport(
-            suite="stub", label=label, created="2026-01-01T00:00:00Z",
-            fingerprint="f00d", python="3", platform="test", repeats=1,
-        )
-
-    if previous is None:
-        monkeypatch.delenv(backends.BACKEND_ENV, raising=False)
-    else:
-        monkeypatch.setenv(backends.BACKEND_ENV, previous)
-    monkeypatch.setattr(backends, "compiled_available", lambda: True)
-    monkeypatch.setattr(bench, "run_bench", stub_run_bench)
-    assert main(["bench", "--engine-backend", "compiled", "--no-save",
-                 "--baseline", "none"]) == 0
-    assert seen == ["compiled"]
-    assert os.environ.get(backends.BACKEND_ENV) == previous
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -6,17 +6,11 @@ Covers the surfaces the fast paths added or changed:
 * Event-queue internals: the same-cycle FIFO lane, the entry pool, O(1)
   ``len``/``bool``, and lazy compaction of cancelled events.
 * Power-of-two set indexing (``set_mask``) validated at config time.
-* The perf harness: report save/load round-trip and regression compare.
 """
-
-from pathlib import Path
 
 import pytest
 
 from repro.config.system import CacheConfig, TLBConfig
-from repro.perf.bench import (
-    BenchReport, CaseResult, compare_reports, load_report, save_report,
-)
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.event import _POOL_MAX, EventQueue
 
@@ -182,108 +176,3 @@ class TestSetMask:
         assert TLBConfig(num_sets=32, ways=16).set_mask == 31
         assert TLBConfig(num_sets=1, ways=32).set_mask == 0
         assert TLBConfig(num_sets=3, ways=4).set_mask == -1
-
-
-# ---------------------------------------------------------------------------
-# Perf harness: save/load round-trip and comparison gate
-# ---------------------------------------------------------------------------
-
-def _report(label, e2e_per_sec, cal_per_sec, created="2026-08-05T00:00:00"):
-    # One calibration micro plus one e2e case; wall chosen so the
-    # aggregate e2e throughput equals ``e2e_per_sec``.
-    work = 100_000
-    cases = [
-        CaseResult("calibration", "micro", 1.0, work, "ops",
-                   cal_per_sec, 0, 1),
-        CaseResult("sc_griffin", "e2e", work / e2e_per_sec, work,
-                   "events", e2e_per_sec, 0, 1),
-    ]
-    return BenchReport(
-        suite="test", label=label, created=created, fingerprint="f00d",
-        python="3.12", platform="linux", repeats=1, cases=cases,
-        peak_rss_kb=1234,
-    )
-
-
-class TestBenchHarness:
-    def test_save_load_round_trip(self, tmp_path):
-        report = _report("alpha", 200_000.0, 600_000.0)
-        path = save_report(report, tmp_path)
-        assert path.name == "BENCH_2026-08-05_alpha.json"
-        loaded = load_report(path)
-        assert loaded.label == "alpha"
-        assert loaded.fingerprint == report.fingerprint
-        assert loaded.e2e_events_per_sec == pytest.approx(200_000.0)
-        assert loaded.normalized_e2e == pytest.approx(report.normalized_e2e)
-
-    def test_compare_speedup_and_gate_ok(self):
-        base = _report("base", 100_000.0, 500_000.0)
-        cur = _report("fast", 200_000.0, 500_000.0)
-        cmp = compare_reports(base, cur, fail_factor=2.0)
-        assert cmp.speedup_e2e == pytest.approx(2.0)
-        assert cmp.speedup_normalized == pytest.approx(2.0)
-        assert cmp.same_fingerprint
-        assert not cmp.regressed
-
-    def test_compare_normalizes_away_machine_speed(self):
-        # Half the raw throughput on a half-speed machine: not a regression.
-        base = _report("base", 100_000.0, 500_000.0)
-        cur = _report("slow-host", 50_000.0, 250_000.0)
-        cmp = compare_reports(base, cur, fail_factor=2.0)
-        assert cmp.speedup_normalized == pytest.approx(1.0)
-        assert not cmp.regressed
-
-    def test_compare_flags_real_regression(self):
-        base = _report("base", 100_000.0, 500_000.0)
-        cur = _report("regressed", 40_000.0, 500_000.0)
-        cmp = compare_reports(base, cur, fail_factor=2.0)
-        assert cmp.regressed
-
-    def test_old_schema_reports_still_load(self, tmp_path):
-        """A v2 report (no ``median_wall_seconds``) loads with the new
-        field defaulted — committed baselines stay comparable."""
-        import json
-
-        report = _report("legacy", 100_000.0, 500_000.0)
-        path = save_report(report, tmp_path)
-        data = json.loads(path.read_text())
-        data["schema"] = 2
-        for case in data["cases"]:
-            del case["median_wall_seconds"]
-        path.write_text(json.dumps(data))
-        loaded = load_report(path)
-        assert loaded.e2e_events_per_sec == pytest.approx(100_000.0)
-        assert all(c.median_wall_seconds == 0.0 for c in loaded.cases)
-
-    def test_unsupported_schema_rejected(self, tmp_path):
-        import json
-
-        path = save_report(_report("future", 1.0, 1.0), tmp_path)
-        data = json.loads(path.read_text())
-        data["schema"] = 99
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError):
-            load_report(path)
-
-    def test_median_round_trips_and_renders(self, tmp_path):
-        report = _report("med", 100_000.0, 500_000.0)
-        report.cases[1].median_wall_seconds = 1.25
-        loaded = load_report(save_report(report, tmp_path))
-        assert loaded.case("sc_griffin").median_wall_seconds == 1.25
-        assert "Median (s)" in loaded.render()
-
-    def test_legacy_ring_and_batch_cases_still_load_and_gate(self):
-        """A committed report carrying the retired "ring"/"batch" kinds
-        still loads, renders them as plain table rows, and diffs against
-        the committed baseline."""
-        root = Path(__file__).resolve().parents[2]
-        legacy = load_report(root / "BENCH_2026-08-07_ring-batch.json")
-        kinds = {c.name: c.kind for c in legacy.cases}
-        assert kinds["ring_vs_heap"] == "ring"
-        assert kinds["batched_replicas"] == "batch"
-        rendered = legacy.render()
-        assert "ring_vs_heap" in rendered and "batched_replicas" in rendered
-        baseline = load_report(root / "BENCH_2026-08-05_baseline.json")
-        comparison = compare_reports(baseline, legacy)
-        assert comparison.speedup_normalized > 0
-        assert not comparison.regressed
