@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.check.config import CorruptionSpec
 from repro.sim.component import Component
+from repro.sim.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system.machine import Machine
@@ -93,7 +94,7 @@ class StateCorruptor(Component):
     def _past_event(self, spec: CorruptionSpec) -> None:
         """Push an event timestamped before the current cycle."""
         past = max(0.0, self.engine.now - 1000.0)
-        self.engine._queue.push_entry(past, 0, self._noop, ())
+        self.engine._queue.push(Event(past, self._noop), False)
 
     def _noop(self) -> None:
         """Target of the past_event drill (picklable bound method)."""

@@ -2,9 +2,13 @@
  *
  * `EventCore` is a C mirror of repro.sim.event.EventQueue (binary heap +
  * same-cycle FIFO lane + cancellation bookkeeping with lazy compaction)
- * plus the Engine.run drain loop, exposed as `_drain`.  The Python side
- * (repro.sim.compiled) subclasses it to add the rare-path surfaces:
- * snapshot, pickling, and the engine wrapper methods.
+ * plus the Engine.run drain loop, exposed as `_drain`.  Its surface is
+ * the oracle's: two inserts, `_sched(now, time, callback, args)` and
+ * `push(event, lane)`, plus `_note_cancel`, `peek_time` and `len`; then
+ * `_drain`/`_request_stop` for the loop and `_export`/`_load` for state.
+ * The Python side (repro.sim.compiled) subclasses it to add snapshot
+ * diagnostics and pickling; Engine's scheduling methods call the two
+ * inserts unchanged.
  *
  * The contract is byte-identity with the pure-Python heap oracle:
  *
@@ -62,9 +66,7 @@ typedef struct {
     int stop_flag;
 } CoreObject;
 
-/* Resolved at module init from repro.sim.event / repro.sim.engine. */
-static PyObject *EventClass = NULL;
-static PyObject *SimErrClass = NULL;
+/* Resolved at module init from repro.sim.event. */
 static long compact_min = 16;
 static long compact_limit = 4096;
 
@@ -358,17 +360,27 @@ ensure_tuple(PyObject **args)
     return 0;
 }
 
-/* push(event) -> event : insert with a cancel handle, stamping seq. */
+/* push(event, lane): insert with a cancel handle, stamping seq and
+ * _queue.  The tail of Engine.schedule; `lane` is true only for a
+ * priority-0 event at the engine's current time. */
 static PyObject *
-core_push(CoreObject *self, PyObject *event)
+core_push(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     centry e;
-    PyObject *prio_obj = NULL, *seq_obj = NULL;
-    long long seq;
+    PyObject *event, *prio_obj = NULL, *seq_obj = NULL;
+    int use_lane;
 
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "push expects (event, lane)");
+        return NULL;
+    }
+    event = args[0];
+    use_lane = PyObject_IsTrue(args[1]);
+    if (use_lane < 0)
+        return NULL;
     memset(&e, 0, sizeof(e));
     e.time = PyObject_GetAttr(event, s_time);
-    if (e.time == NULL)
+    if (e.time == NULL || time_key(e.time, &e.key) < 0)
         goto fail;
     prio_obj = PyObject_GetAttr(event, s_priority);
     if (prio_obj == NULL)
@@ -376,32 +388,26 @@ core_push(CoreObject *self, PyObject *event)
     e.prio = PyLong_AsLong(prio_obj);
     if (e.prio == -1 && PyErr_Occurred())
         goto fail;
-    Py_CLEAR(prio_obj);
     e.callback = PyObject_GetAttr(event, s_callback);
     if (e.callback == NULL)
         goto fail;
     e.args = PyObject_GetAttr(event, s_args);
     if (e.args == NULL || ensure_tuple(&e.args) < 0)
         goto fail;
-    if (time_key(e.time, &e.key) < 0)
-        goto fail;
-    seq = self->seq++;
-    e.seq = seq;
-    seq_obj = PyLong_FromLongLong(seq);
-    if (seq_obj == NULL)
-        goto fail;
-    if (PyObject_SetAttr(event, s_seq, seq_obj) < 0)
-        goto fail;
-    Py_CLEAR(seq_obj);
-    if (PyObject_SetAttr(event, s_uqueue, (PyObject *)self) < 0)
+    e.seq = self->seq;
+    seq_obj = PyLong_FromLongLong(e.seq);
+    if (seq_obj == NULL
+        || PyObject_SetAttr(event, s_seq, seq_obj) < 0
+        || PyObject_SetAttr(event, s_uqueue, (PyObject *)self) < 0)
         goto fail;
     e.event = Py_NewRef(event);
-    if (heap_push(self, &e) < 0) {
-        entry_clear(&e);
-        return NULL;
-    }
+    if ((use_lane ? lane_push(self, &e) : heap_push(self, &e)) < 0)
+        goto fail;
+    self->seq++;
     self->live++;
-    return Py_NewRef(event);
+    Py_DECREF(prio_obj);
+    Py_DECREF(seq_obj);
+    Py_RETURN_NONE;
 
 fail:
     Py_XDECREF(prio_obj);
@@ -410,192 +416,10 @@ fail:
     return NULL;
 }
 
-/* push_entry(time, priority, callback, args): heap, no cancel handle. */
-static PyObject *
-core_push_entry(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    centry e;
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "push_entry expects (time, priority, callback, args)");
-        return NULL;
-    }
-    memset(&e, 0, sizeof(e));
-    if (time_key(args[0], &e.key) < 0)
-        return NULL;
-    e.prio = PyLong_AsLong(args[1]);
-    if (e.prio == -1 && PyErr_Occurred())
-        return NULL;
-    e.time = Py_NewRef(args[0]);
-    e.callback = Py_NewRef(args[2]);
-    e.args = Py_NewRef(args[3]);
-    if (ensure_tuple(&e.args) < 0) {
-        entry_clear(&e);
-        return NULL;
-    }
-    e.seq = self->seq++;
-    if (heap_push(self, &e) < 0) {
-        entry_clear(&e);
-        return NULL;
-    }
-    self->live++;
-    Py_RETURN_NONE;
-}
-
-/* push_lane(time, callback, args, event=None): priority-0 FIFO append. */
-static PyObject *
-core_push_lane(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    centry e;
-    PyObject *event;
-    if (nargs != 3 && nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "push_lane expects (time, callback, args, event=None)");
-        return NULL;
-    }
-    event = (nargs == 4 && args[3] != Py_None) ? args[3] : NULL;
-    memset(&e, 0, sizeof(e));
-    if (time_key(args[0], &e.key) < 0)
-        return NULL;
-    e.prio = 0;
-    e.time = Py_NewRef(args[0]);
-    e.callback = Py_NewRef(args[1]);
-    e.args = Py_NewRef(args[2]);
-    if (ensure_tuple(&e.args) < 0) {
-        entry_clear(&e);
-        return NULL;
-    }
-    e.seq = self->seq++;
-    if (event != NULL) {
-        PyObject *seq_obj = PyLong_FromLongLong(e.seq);
-        if (seq_obj == NULL
-            || PyObject_SetAttr(event, s_seq, seq_obj) < 0) {
-            Py_XDECREF(seq_obj);
-            entry_clear(&e);
-            return NULL;
-        }
-        Py_DECREF(seq_obj);
-        if (PyObject_SetAttr(event, s_uqueue, (PyObject *)self) < 0) {
-            entry_clear(&e);
-            return NULL;
-        }
-        e.event = Py_NewRef(event);
-    }
-    if (lane_push(self, &e) < 0) {
-        entry_clear(&e);
-        return NULL;
-    }
-    self->live++;
-    Py_RETURN_NONE;
-}
-
-/* _push_handle(time, priority, callback, args, event, use_lane):
- * the tail of Engine.schedule/schedule_at — the Event was already
- * built by the Python wrapper; stamp it and store the entry. */
-static PyObject *
-core_push_handle(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    centry e;
-    PyObject *event, *seq_obj;
-    int use_lane;
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError,
-                        "_push_handle expects (time, priority, callback, "
-                        "args, event, use_lane)");
-        return NULL;
-    }
-    event = args[4];
-    use_lane = PyObject_IsTrue(args[5]);
-    if (use_lane < 0)
-        return NULL;
-    memset(&e, 0, sizeof(e));
-    if (time_key(args[0], &e.key) < 0)
-        return NULL;
-    e.prio = PyLong_AsLong(args[1]);
-    if (e.prio == -1 && PyErr_Occurred())
-        return NULL;
-    e.time = Py_NewRef(args[0]);
-    e.callback = Py_NewRef(args[2]);
-    e.args = Py_NewRef(args[3]);
-    if (ensure_tuple(&e.args) < 0) {
-        entry_clear(&e);
-        return NULL;
-    }
-    e.seq = self->seq++;
-    seq_obj = PyLong_FromLongLong(e.seq);
-    if (seq_obj == NULL || PyObject_SetAttr(event, s_seq, seq_obj) < 0) {
-        Py_XDECREF(seq_obj);
-        entry_clear(&e);
-        return NULL;
-    }
-    Py_DECREF(seq_obj);
-    if (PyObject_SetAttr(event, s_uqueue, (PyObject *)self) < 0) {
-        entry_clear(&e);
-        return NULL;
-    }
-    e.event = Py_NewRef(event);
-    if ((use_lane ? lane_push(self, &e) : heap_push(self, &e)) < 0) {
-        entry_clear(&e);
-        return NULL;
-    }
-    self->live++;
-    Py_RETURN_NONE;
-}
-
-/* _post(now, delay, callback, args): Engine.post minus the monitor
- * check (done by the Python wrapper).  Mirrors the oracle exactly,
- * including bumping seq *before* the negative-delay error. */
-static PyObject *
-core_post(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    centry e;
-    double dkey;
-    int use_lane;
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "_post expects (now, delay, callback, args)");
-        return NULL;
-    }
-    memset(&e, 0, sizeof(e));
-    e.seq = self->seq++;
-    if (time_key(args[1], &dkey) < 0)
-        return NULL;
-    if (dkey <= 0.0) {
-        if (dkey < 0.0) {
-            PyErr_Format(SimErrClass,
-                         "cannot schedule in the past (delay=%S)", args[1]);
-            return NULL;
-        }
-        e.time = Py_NewRef(args[0]);
-        if (time_key(e.time, &e.key) < 0) {
-            entry_clear(&e);
-            return NULL;
-        }
-        use_lane = 1;
-    }
-    else {
-        e.time = PyNumber_Add(args[0], args[1]);
-        if (e.time == NULL || time_key(e.time, &e.key) < 0) {
-            entry_clear(&e);
-            return NULL;
-        }
-        use_lane = 0;
-    }
-    e.prio = 0;
-    e.callback = Py_NewRef(args[2]);
-    e.args = Py_NewRef(args[3]);
-    if ((use_lane ? lane_push(self, &e) : heap_push(self, &e)) < 0) {
-        entry_clear(&e);
-        return NULL;
-    }
-    self->live++;
-    Py_RETURN_NONE;
-}
-
-/* _sched(now, time, callback, args): the access path's clamp-to-present
- * scheduling site — a priority-0 entry at max(time, now), routed to the
- * lane when clamped and to the heap otherwise.  Same routing as the
- * oracle's EventQueue._sched. */
+/* _sched(now, time, callback, args): the fire-and-forget insert behind
+ * Engine.post/post_at and every access-path leg — a priority-0 entry at
+ * max(time, now), routed to the lane when clamped and to the heap
+ * otherwise.  Same routing as the oracle's EventQueue._sched. */
 static PyObject *
 core_sched(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -610,7 +434,7 @@ core_sched(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
     memset(&e, 0, sizeof(e));
     if (time_key(args[1], &tkey) < 0 || time_key(args[0], &nkey) < 0)
         return NULL;
-    e.seq = self->seq++;
+    e.seq = self->seq;
     if (tkey > nkey) {
         e.time = Py_NewRef(args[1]);
         e.key = tkey;
@@ -628,49 +452,7 @@ core_sched(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
         entry_clear(&e);
         return NULL;
     }
-    self->live++;
-    Py_RETURN_NONE;
-}
-
-/* _post_at(now, time, callback, args): Engine.post_at minus monitor. */
-static PyObject *
-core_post_at(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    centry e;
-    double tkey, nkey;
-    int use_lane;
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "_post_at expects (now, time, callback, args)");
-        return NULL;
-    }
-    memset(&e, 0, sizeof(e));
-    e.seq = self->seq++;
-    if (time_key(args[1], &tkey) < 0 || time_key(args[0], &nkey) < 0)
-        return NULL;
-    if (tkey <= nkey) {
-        if (tkey < nkey) {
-            PyErr_Format(SimErrClass,
-                         "cannot schedule at t=%S, current time is %S",
-                         args[1], args[0]);
-            return NULL;
-        }
-        e.time = Py_NewRef(args[0]);
-        e.key = nkey;
-        use_lane = 1;
-    }
-    else {
-        e.time = Py_NewRef(args[1]);
-        e.key = tkey;
-        use_lane = 0;
-    }
-    e.prio = 0;
-    e.callback = Py_NewRef(args[2]);
-    e.args = Py_NewRef(args[3]);
-    if ((use_lane ? lane_push(self, &e) : heap_push(self, &e)) < 0) {
-        entry_clear(&e);
-        return NULL;
-    }
+    self->seq++;
     self->live++;
     Py_RETURN_NONE;
 }
@@ -678,70 +460,6 @@ core_post_at(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
 /* ------------------------------------------------------------------ */
 /* Draining                                                           */
 /* ------------------------------------------------------------------ */
-
-/* Build an Event for a handle-less popped entry (pop()/snapshot paths;
- * the oracle does Event(time, callback, args, priority); seq = ...). */
-static PyObject *
-materialize_event(const centry *e)
-{
-    PyObject *prio_obj, *seq_obj, *event;
-    prio_obj = PyLong_FromLong(e->prio);
-    if (prio_obj == NULL)
-        return NULL;
-    event = PyObject_CallFunctionObjArgs(
-        EventClass, e->time, e->callback, e->args, prio_obj, NULL);
-    Py_DECREF(prio_obj);
-    if (event == NULL)
-        return NULL;
-    seq_obj = PyLong_FromLongLong(e->seq);
-    if (seq_obj == NULL || PyObject_SetAttr(event, s_seq, seq_obj) < 0) {
-        Py_XDECREF(seq_obj);
-        Py_DECREF(event);
-        return NULL;
-    }
-    Py_DECREF(seq_obj);
-    return event;
-}
-
-/* pop() -> Event | None : earliest live event. */
-static PyObject *
-core_pop(CoreObject *self, PyObject *Py_UNUSED(ignored))
-{
-    centry e;
-    PyObject *event;
-    int from_heap;
-
-    if (skip_heads(self) < 0)
-        return NULL;
-    if (self->lane_len) {
-        from_heap = (self->heap_len
-                     && entry_lt(&self->heap[0],
-                                 &self->lane[self->lane_head]));
-    }
-    else if (self->heap_len)
-        from_heap = 1;
-    else
-        Py_RETURN_NONE;
-    if (from_heap)
-        heap_pop_min(self, &e);
-    else
-        lane_popleft(self, &e);
-    self->live--;
-    if (e.event == NULL) {
-        event = materialize_event(&e);
-        entry_clear(&e);
-        return event; /* NULL propagates */
-    }
-    event = e.event;
-    e.event = NULL;
-    if (PyObject_SetAttr(event, s_uqueue, Py_None) < 0) {
-        Py_DECREF(event);
-        entry_clear(&e);
-        return NULL;
-    }
-    entry_clear(&e);
-    return event;
-}
 
 /* peek_time() -> time | None (tidies cancelled heads, like the oracle). */
 static PyObject *
@@ -1132,7 +850,7 @@ fail:
 }
 
 /* _load(heap_entries, lane_entries, seq, live, cancelled): rebuild from
- * oracle-format state (EventQueue.__getstate__ layout).  The incoming
+ * oracle-format state (the EventQueue.__dict__ layout).  The incoming
  * heap list is heapified defensively — a valid heapq list or a sorted
  * list both pass through unchanged in pop order. */
 static PyObject *
@@ -1283,25 +1001,10 @@ static PyGetSetDef core_getset[] = {
 };
 
 static PyMethodDef core_methods[] = {
-    {"push", (PyCFunction)core_push, METH_O,
-     "push(event) -> event: insert with a cancel handle, stamping seq."},
-    {"push_entry", (PyCFunction)(void (*)(void))core_push_entry,
-     METH_FASTCALL,
-     "push_entry(time, priority, callback, args): heap, no handle."},
-    {"push_lane", (PyCFunction)(void (*)(void))core_push_lane,
-     METH_FASTCALL,
-     "push_lane(time, callback, args, event=None): same-cycle FIFO."},
-    {"_push_handle", (PyCFunction)(void (*)(void))core_push_handle,
-     METH_FASTCALL,
-     "Tail of Engine.schedule/schedule_at for a pre-built Event."},
-    {"_post", (PyCFunction)(void (*)(void))core_post, METH_FASTCALL,
-     "_post(now, delay, callback, args): Engine.post storage leg."},
-    {"_post_at", (PyCFunction)(void (*)(void))core_post_at, METH_FASTCALL,
-     "_post_at(now, time, callback, args): Engine.post_at storage leg."},
+    {"push", (PyCFunction)(void (*)(void))core_push, METH_FASTCALL,
+     "push(event, lane): insert with a cancel handle, stamping seq."},
     {"_sched", (PyCFunction)(void (*)(void))core_sched, METH_FASTCALL,
      "_sched(now, time, callback, args): priority-0 at max(time, now)."},
-    {"pop", (PyCFunction)core_pop, METH_NOARGS,
-     "pop() -> Event | None: earliest live event."},
     {"peek_time", (PyCFunction)core_peek_time, METH_NOARGS,
      "peek_time() -> time | None of the earliest live event."},
     {"_note_cancel", (PyCFunction)(void (*)(void))core_note_cancel,
@@ -1379,16 +1082,13 @@ static struct PyModuleDef ckernel_module = {
 PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
-    PyObject *module = NULL, *event_mod = NULL, *engine_mod = NULL;
+    PyObject *module = NULL, *event_mod = NULL;
     PyObject *val;
 
     if (intern_strings() < 0)
         return NULL;
     event_mod = PyImport_ImportModule("repro.sim.event");
     if (event_mod == NULL)
-        goto fail;
-    EventClass = PyObject_GetAttrString(event_mod, "Event");
-    if (EventClass == NULL)
         goto fail;
     val = PyObject_GetAttrString(event_mod, "_COMPACT_MIN");
     if (val == NULL)
@@ -1404,12 +1104,6 @@ PyInit__ckernel(void)
     Py_DECREF(val);
     if (compact_limit == -1 && PyErr_Occurred())
         goto fail;
-    engine_mod = PyImport_ImportModule("repro.sim.engine");
-    if (engine_mod == NULL)
-        goto fail;
-    SimErrClass = PyObject_GetAttrString(engine_mod, "SimulationError");
-    if (SimErrClass == NULL)
-        goto fail;
 
     if (PyType_Ready(&EventCoreType) < 0)
         goto fail;
@@ -1423,11 +1117,9 @@ PyInit__ckernel(void)
         goto fail;
     }
     Py_DECREF(event_mod);
-    Py_DECREF(engine_mod);
     return module;
 
 fail:
     Py_XDECREF(event_mod);
-    Py_XDECREF(engine_mod);
     return NULL;
 }

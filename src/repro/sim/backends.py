@@ -1,6 +1,6 @@
 """Engine backend registry: the seam every event core plugs into.
 
-Two interchangeable event cores implement the same queue protocol and
+Two interchangeable event cores implement the same queue surface and
 drive the same :class:`repro.sim.engine.Engine` contract:
 
 * ``"heap"`` — the pure-Python heap + same-cycle-lane queue
@@ -20,19 +20,23 @@ instead of failing deep inside engine wiring.  The
 value, which is how CI replays the entire golden/parity suite on the
 compiled backend with no test changes.
 
-The queue protocol below is what a backend's queue must provide; the
-engine adds the scheduling surfaces (``schedule``/``schedule_at``/
-``post``/``post_at``), the run loop with budget/watchdog hooks, and the
-pause-only pickling contract (see ``Engine.__getstate__``).
+A backend's queue provides two inserts — ``_sched(now, time, callback,
+args)`` (fire-and-forget, priority 0 at ``max(time, now)``) and
+``push(event, lane)`` (an :class:`repro.sim.event.Event` cancel handle)
+— plus ``_note_cancel``, ``peek_time``, ``snapshot``, O(1) ``len`` and
+a pickling contract that snapshot fork/restore round-trips
+byte-identically.  Semantics are pinned by the heap oracle
+(:class:`repro.sim.event.EventQueue`).  The engine adds the scheduling
+methods (``schedule``/``post``/``post_at``) on top of those inserts, the
+run loop with budget/watchdog hooks, and the pause-only pickling
+contract (see ``Engine.__getstate__``).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.event import Event
 
 #: Environment override for the engine backend.  Lets CI run the entire
 #: golden/parity suite against an alternate backend with no test changes
@@ -52,45 +56,6 @@ class ConfigError(SimulationError, ValueError):
     CLI's top-level handler historically catch), so every existing
     caller keeps working while new code can catch the precise type.
     """
-
-
-@runtime_checkable
-class EventQueueProtocol(Protocol):
-    """What an engine backend's queue must provide.
-
-    Semantics are pinned by the heap oracle (:class:`repro.sim.event.
-    EventQueue`): exact ``(time, priority, seq)`` pop order, cancelled
-    events skipped at pop time with ``_note_cancel`` bookkeeping, O(1)
-    ``len``, and a ``__getstate__``/``__setstate__`` (or ``__reduce__``)
-    contract that snapshot fork/restore round-trips byte-identically.
-    """
-
-    def push(self, event: Event) -> Event: ...
-
-    def push_entry(
-        self, time: float, priority: int,
-        callback: Callable[..., Any], args: tuple,
-    ) -> None: ...
-
-    def push_lane(
-        self, time: float, callback: Callable[..., Any], args: tuple,
-        event: Optional[Event] = None,
-    ) -> None: ...
-
-    def _sched(
-        self, now: float, time: float, callback: Callable[..., Any],
-        args: tuple,
-    ) -> None: ...
-
-    def pop(self) -> Optional[Event]: ...
-
-    def peek_time(self) -> Optional[float]: ...
-
-    def snapshot(self, limit: int = 20) -> list: ...
-
-    def _note_cancel(self, event: Optional[Event] = None) -> None: ...
-
-    def __len__(self) -> int: ...
 
 
 def compiled_available() -> bool:

@@ -7,12 +7,12 @@ the engine backend seam defined by :mod:`repro.sim.backends`:
 * :class:`CompiledQueue` subclasses the C ``EventCore`` — binary heap +
   same-cycle FIFO lane + cancellation bookkeeping live in C — and adds
   the rare-path surfaces (``snapshot`` diagnostics, pickling).
-* :class:`CompiledEngine` keeps :class:`repro.sim.engine.Engine`'s
-  scheduling semantics (including the exact error messages and the
-  monitor hook order the sanitizer depends on) but delegates entry
-  storage and the whole run loop to C: ``run()`` is a thin guard around
-  ``EventCore._drain``, which executes events without re-entering the
-  interpreter between callback dispatches.
+* :class:`CompiledEngine` inherits :class:`repro.sim.engine.Engine`'s
+  scheduling methods unchanged — the C core provides the same two
+  inserts, ``_sched(now, time, callback, args)`` and ``push(event,
+  lane)`` — and delegates the whole run loop to C: ``run()`` is a thin
+  guard around ``EventCore._drain``, which executes events without
+  re-entering the interpreter between callback dispatches.
 
 The build is strictly optional.  When the extension is absent this
 module still imports — :func:`is_available` returns False, backend
@@ -20,18 +20,19 @@ resolution refuses ``"compiled"`` eagerly (:func:`repro.sim.backends.
 resolve_backend`), and snapshots *taken* under the compiled backend
 restore onto the pure-Python heap engine with a logged warning and
 byte-identical behaviour: :meth:`CompiledQueue.__getstate__` emits the
-exact ``EventQueue.__getstate__`` layout, so the ``__reduce__`` hooks
-below can rebuild either class from one state format.
+exact layout of an ``EventQueue``'s ``__dict__`` (its pickled state), so
+the ``__reduce__`` hooks below can rebuild either class from one state
+format.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.sim.engine import Engine, SimulationError, SimulationStall
-from repro.sim.event import Event, EventQueue, _is_live
+from repro.sim.event import Event, EventQueue, _earliest_events
 
 try:  # Strictly optional: no compiler at install time -> heap oracle.
     from repro.sim import _ckernel
@@ -49,10 +50,10 @@ def is_available() -> bool:
 def _restore_queue():
     """Unpickle target for queues captured under the compiled backend.
 
-    Returns an empty queue; pickle then applies the captured state via
-    ``__setstate__``.  On hosts without the extension the state loads
-    into the pure-Python :class:`EventQueue` instead — same entry
-    layout, byte-identical scheduling from there on.
+    Returns an empty queue; pickle then applies the captured state
+    (``__setstate__``, or a ``__dict__`` update).  On hosts without the
+    extension the state loads into the pure-Python :class:`EventQueue`
+    instead — same entry layout, byte-identical scheduling from there on.
     """
     if is_available():
         return CompiledQueue()
@@ -84,20 +85,10 @@ if _ckernel is not None:
         def snapshot(self, limit: int = 20) -> list:
             """The earliest ``limit`` live events, in firing order."""
             heap_entries, lane_entries, _seq, _live, _cancelled = self._export()
-            entries = [e for e in heap_entries if _is_live(e)]
-            entries.extend(e for e in lane_entries if _is_live(e))
-            entries.sort()
-            out = []
-            for entry in entries[:limit]:
-                event = entry[5]
-                if event is None:
-                    event = Event(entry[0], entry[3], entry[4], entry[1])
-                    event.seq = entry[2]
-                out.append(event)
-            return out
+            return _earliest_events(heap_entries, lane_entries, limit)
 
         def __getstate__(self) -> dict:
-            """Capture in the exact ``EventQueue.__getstate__`` layout.
+            """Capture in the exact layout of ``EventQueue.__dict__``.
 
             One state format for every backend is what lets a snapshot
             taken under ``compiled`` restore on an extension-less host:
@@ -112,7 +103,6 @@ if _ckernel is not None:
                 "_seq": seq,
                 "_live": live,
                 "_cancelled": cancelled,
-                "_pool": [],
             }
 
         def __setstate__(self, state: dict) -> None:
@@ -136,13 +126,11 @@ if _ckernel is not None:
     class CompiledEngine(Engine):
         """Engine whose queue and run loop live in the C extension.
 
-        The scheduling surfaces replicate :class:`Engine` semantics
-        exactly — same validation errors (sequence numbers are consumed
-        even by rejected posts, like the oracle), same monitor hook
-        order — then hand storage to C.  ``run()`` delegates the whole
-        drain loop; ``_stall_error``/``_budget_error`` are called back
-        from C so the watchdog and budget exceptions carry the oracle's
-        byte-exact messages and diagnostics.
+        Scheduling is :class:`Engine`'s own (checks, monitor hook, one C
+        insert).  ``run()`` delegates the whole drain loop;
+        ``_stall_error``/``_budget_error`` are called back from C so the
+        watchdog and budget exceptions carry the oracle's byte-exact
+        messages and diagnostics.
         """
 
         def __init__(self) -> None:
@@ -154,80 +142,6 @@ if _ckernel is not None:
             # drops the monitor); _restore_engine degrades to the heap
             # Engine when the extension is absent on the restore host.
             return (_restore_engine, (), self.__getstate__())
-
-        def schedule(
-            self,
-            delay: float,
-            callback: Callable[..., Any],
-            *args: Any,
-            priority: int = 0,
-        ) -> Event:
-            """Schedule ``callback(*args)`` to run ``delay`` cycles from now."""
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule in the past (delay={delay})"
-                )
-            monitor = self._monitor
-            if monitor is not None:
-                monitor.on_schedule(callback)
-            event = Event.__new__(Event)
-            event.time = time = self._now + delay
-            event.priority = priority
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            # C stamps seq and _queue and stores the entry.
-            self._queue._push_handle(
-                time, priority, callback, args, event,
-                delay == 0 and priority == 0,
-            )
-            return event
-
-        def schedule_at(
-            self,
-            time: float,
-            callback: Callable[..., Any],
-            *args: Any,
-            priority: int = 0,
-        ) -> Event:
-            """Schedule ``callback(*args)`` to run at absolute time ``time``."""
-            now = self._now
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule at t={time}, current time is {now}"
-                )
-            monitor = self._monitor
-            if monitor is not None:
-                monitor.on_schedule(callback)
-            event = Event.__new__(Event)
-            event.time = time
-            event.priority = priority
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            self._queue._push_handle(
-                time, priority, callback, args, event,
-                time == now and priority == 0,
-            )
-            return event
-
-        def post(
-            self, delay: float, callback: Callable[..., Any], *args: Any
-        ) -> None:
-            """Hot-path :meth:`schedule`: priority 0, no cancel handle."""
-            monitor = self._monitor
-            if monitor is not None:
-                monitor.on_schedule(callback)
-            self._queue._post(self._now, delay, callback, args)
-
-        def post_at(
-            self, time: float, callback: Callable[..., Any], *args: Any
-        ) -> None:
-            """Hot-path :meth:`schedule_at`: priority 0, no cancel handle."""
-            monitor = self._monitor
-            if monitor is not None:
-                monitor.on_schedule(callback)
-            self._queue._post_at(self._now, time, callback, args)
 
         def stop(self) -> None:
             """Request that :meth:`run` return after the current event."""

@@ -7,23 +7,26 @@ functions cached in locals.  Semantics are identical to the classic
 peek-then-pop loop: events fire in exact ``(time, priority, seq)`` order,
 the golden/parity suites pin this byte-for-byte.
 
-Two scheduling surfaces:
+Two scheduling surfaces, each one check, the monitor hook and one
+queue insert:
 
-* :meth:`Engine.schedule` / :meth:`Engine.schedule_at` return an
-  :class:`Event` cancel handle, as always.
-* :meth:`Engine.post` / :meth:`Engine.post_at` are the hot-path variants
-  for the overwhelmingly common case where the caller never cancels:
-  they allocate no Event object at all (recycled list entries only), and
-  zero-delay posts go to the FIFO lane instead of the heap.
+* :meth:`Engine.schedule` returns an :class:`Event` cancel handle; it
+  builds the Event and calls ``queue.push(event, lane)``.
+* :meth:`Engine.post` / :meth:`Engine.post_at` are fire-and-forget for
+  the overwhelmingly common case where the caller never cancels: they
+  allocate no Event and call ``queue._sched(now, time, callback, args)``,
+  which sends present-time entries to the FIFO lane instead of the heap.
+
+Both backends' queues provide exactly those two inserts, so
+:class:`repro.sim.compiled.CompiledEngine` inherits all three methods.
 """
 
 from __future__ import annotations
 
 import heapq
-from heapq import heappush as _heappush
 from typing import Any, Callable, Optional
 
-from repro.sim.event import _POOL_MAX, Event, EventQueue
+from repro.sim.event import Event, EventQueue
 
 
 class SimulationError(RuntimeError):
@@ -102,44 +105,22 @@ class Engine:
         monitor = self._monitor
         if monitor is not None:
             monitor.on_schedule(callback)
-        # Build the Event and its queue entry directly (no __init__ frame,
-        # no push() call): identical (time, priority, seq) ordering.
-        queue = self._queue
-        event = Event.__new__(Event)
-        event.time = time = self._now + delay
-        event.priority = priority
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event._queue = queue
-        event.seq = seq = queue._seq
-        queue._seq = seq + 1
-        pool = queue._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = time
-            entry[1] = priority
-            entry[2] = seq
-            entry[3] = callback
-            entry[4] = args
-            entry[5] = event
-        else:
-            entry = [time, priority, seq, callback, args, event]
-        if delay == 0 and priority == 0:
-            queue._lane.append(entry)
-        else:
-            _heappush(queue._heap, entry)
-        queue._live += 1
+        event = Event(self._now + delay, callback, args, priority)
+        self._queue.push(event, delay == 0 and priority == 0)
         return event
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
-        """Schedule ``callback(*args)`` to run at absolute time ``time``."""
+    def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Fire-and-forget :meth:`schedule`: priority 0, no cancel handle."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        monitor = self._monitor
+        if monitor is not None:
+            monitor.on_schedule(callback)
+        now = self._now
+        self._queue._sched(now, now + delay, callback, args)
+
+    def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
+        """:meth:`post` at absolute time ``time``."""
         now = self._now
         if time < now:
             raise SimulationError(
@@ -148,104 +129,7 @@ class Engine:
         monitor = self._monitor
         if monitor is not None:
             monitor.on_schedule(callback)
-        queue = self._queue
-        event = Event.__new__(Event)
-        event.time = time
-        event.priority = priority
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event._queue = queue
-        event.seq = seq = queue._seq
-        queue._seq = seq + 1
-        pool = queue._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = time
-            entry[1] = priority
-            entry[2] = seq
-            entry[3] = callback
-            entry[4] = args
-            entry[5] = event
-        else:
-            entry = [time, priority, seq, callback, args, event]
-        if time == now and priority == 0:
-            queue._lane.append(entry)
-        else:
-            _heappush(queue._heap, entry)
-        queue._live += 1
-        return event
-
-    def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Hot-path :meth:`schedule`: priority 0, no cancel handle.
-
-        Allocates no Event; zero-delay posts take the same-cycle FIFO lane.
-        """
-        monitor = self._monitor
-        if monitor is not None:
-            monitor.on_schedule(callback)
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        if delay <= 0:
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule in the past (delay={delay})"
-                )
-            time = self._now
-            lane = True
-        else:
-            time = self._now + delay
-            lane = False
-        pool = queue._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = time
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = callback
-            entry[4] = args
-        else:
-            entry = [time, 0, seq, callback, args, None]
-        if lane:
-            queue._lane.append(entry)
-        else:
-            _heappush(queue._heap, entry)
-        queue._live += 1
-
-    def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Hot-path :meth:`schedule_at`: priority 0, no cancel handle."""
-        monitor = self._monitor
-        if monitor is not None:
-            monitor.on_schedule(callback)
-        now = self._now
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        if time <= now:
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule at t={time}, current time is {now}"
-                )
-            time = now
-            lane = True
-        else:
-            lane = False
-        pool = queue._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = time
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = callback
-            entry[4] = args
-        else:
-            entry = [time, 0, seq, callback, args, None]
-        if lane:
-            queue._lane.append(entry)
-        else:
-            _heappush(queue._heap, entry)
-        queue._live += 1
+        self._queue._sched(now, time, callback, args)
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
@@ -289,10 +173,8 @@ class Engine:
         # across arbitrary callback activity.
         heap = queue._heap
         lane = queue._lane
-        pool = queue._pool
         heappop = heapq.heappop
         lane_popleft = lane.popleft
-        recycle = queue._recycle
         monitor = self._monitor
         check_stall = stall_threshold is not None
         bound = float("inf") if until is None else until
@@ -303,20 +185,7 @@ class Engine:
                 # sees live entries (only worth scanning when something is
                 # actually cancelled).
                 if queue._cancelled:
-                    while heap:
-                        event = heap[0][5]
-                        if event is not None and event.cancelled:
-                            recycle(heappop(heap))
-                            queue._cancelled -= 1
-                        else:
-                            break
-                    while lane:
-                        event = lane[0][5]
-                        if event is not None and event.cancelled:
-                            recycle(lane_popleft())
-                            queue._cancelled -= 1
-                        else:
-                            break
+                    queue._skip_cancelled_heads()
                 # The next event is the smaller of the two heads: the lane
                 # is sorted by construction (engine clock never moves
                 # backwards), the heap by heap order.
@@ -365,9 +234,6 @@ class Engine:
                     monitor.on_execute(time, entry[1], entry[2], callback, args)
                 if event is not None:
                     event._queue = None
-                entry[3] = entry[4] = entry[5] = None
-                if len(pool) < _POOL_MAX:
-                    pool.append(entry)
                 callback(*args)
                 executed += 1
                 if executed >= budget:

@@ -8,10 +8,10 @@ Internally the queue stores plain list entries
 ``[time, priority, seq, callback, args, event]`` so ordering uses C-level
 list comparison (``seq`` is unique, so a comparison never reaches the
 callback field).  The ``event`` slot is the optional cancel handle: it is
-only allocated when the caller asked for one (:meth:`EventQueue.push`,
-``Engine.schedule``); the engine's no-handle ``post`` paths leave it
-``None``.  Entry lists are recycled through a bounded free pool, which
-keeps steady-state scheduling allocation-free.
+only set by :meth:`EventQueue.push` (``Engine.schedule``); entries from
+:meth:`EventQueue._sched` (``Engine.post``/``post_at`` and the access
+path) leave it ``None``.  Those are the queue's only two inserts, and
+``Engine.run`` is its only drain.
 
 Two structures hold pending entries:
 
@@ -37,7 +37,6 @@ from collections import deque
 from heapq import heappush as _heappush
 from typing import Any, Callable, Optional
 
-_POOL_MAX = 4096
 _COMPACT_MIN = 16
 # Absolute ceiling on retained cancelled entries.  The relative trigger
 # (cancelled > live) alone lets a queue with a large live population
@@ -87,13 +86,6 @@ class Event:
                 self._queue = None
                 queue._note_cancel(self)
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.callback, "__qualname__", repr(self.callback))
         return f"Event(t={self.time}, prio={self.priority}, cb={name})"
@@ -102,6 +94,25 @@ class Event:
 def _is_live(entry: list) -> bool:
     event = entry[5]
     return event is None or not event.cancelled
+
+
+def _earliest_events(heap, lane, limit: int) -> list[Event]:
+    """The first ``limit`` live entries of ``heap`` + ``lane`` as Events.
+
+    Handle-less entries get a fresh Event carrying their ``seq``; the
+    shared body of both backends' ``snapshot``.
+    """
+    entries = [e for e in heap if _is_live(e)]
+    entries.extend(e for e in lane if _is_live(e))
+    entries.sort()
+    out = []
+    for entry in entries[:limit]:
+        event = entry[5]
+        if event is None:
+            event = Event(entry[0], entry[3], entry[4], entry[1])
+            event.seq = entry[2]
+        out.append(event)
+    return out
 
 
 class EventQueue:
@@ -113,31 +124,10 @@ class EventQueue:
         self._seq = 0
         self._live = 0
         self._cancelled = 0
-        self._pool: list[list] = []
 
     # ------------------------------------------------------------------
-    # Entry plumbing
+    # Cancellation bookkeeping
     # ------------------------------------------------------------------
-
-    def _entry(self, time, priority, callback, args, event) -> list:
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = time
-            entry[1] = priority
-            entry[2] = seq
-            entry[3] = callback
-            entry[4] = args
-            entry[5] = event
-            return entry
-        return [time, priority, seq, callback, args, event]
-
-    def _recycle(self, entry: list) -> None:
-        if len(self._pool) < _POOL_MAX:
-            entry[3] = entry[4] = entry[5] = None
-            self._pool.append(entry)
 
     def _note_cancel(self, event: Optional[Event] = None) -> None:
         """A live event was cancelled (called from :meth:`Event.cancel`).
@@ -170,90 +160,43 @@ class EventQueue:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def push(self, event: Event) -> Event:
-        """Insert ``event`` and stamp its sequence number."""
-        entry = self._entry(
-            event.time, event.priority, event.callback, event.args, event
-        )
-        event.seq = entry[2]
-        event._queue = self
-        heapq.heappush(self._heap, entry)
-        self._live += 1
-        return event
+    def push(self, event: Event, lane: bool) -> None:
+        """Insert ``event`` as a cancellable entry and stamp its ``seq``.
 
-    def push_entry(self, time, priority, callback, args) -> None:
-        """Heap-schedule a callback with no cancel handle (hot path)."""
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = time
-            entry[1] = priority
-            entry[2] = seq
-            entry[3] = callback
-            entry[4] = args
-        else:
-            entry = [time, priority, seq, callback, args, None]
-        heapq.heappush(self._heap, entry)
-        self._live += 1
-
-    def push_lane(self, time, callback, args, event: Optional[Event] = None) -> None:
-        """Append a priority-0 entry stamped at the current engine time.
-
-        Only the engine may call this, and only with ``time`` equal to its
-        clock: that invariant is what keeps the lane sorted.
+        ``lane`` puts it on the same-cycle FIFO lane; only the engine may
+        pass True, and only for a priority-0 event at its current time:
+        that invariant is what keeps the lane sorted.
         """
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = time
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = callback
-            entry[4] = args
-            entry[5] = event
+        event.seq = seq
+        event._queue = self
+        entry = [event.time, event.priority, seq, event.callback, event.args,
+                 event]
+        if lane:
+            self._lane.append(entry)
         else:
-            entry = [time, 0, seq, callback, args, event]
-        if event is not None:
-            event.seq = seq
-            event._queue = self
-        self._lane.append(entry)
+            _heappush(self._heap, entry)
         self._live += 1
 
     def _sched(self, now, time, callback, args) -> None:
         """Priority-0 ``callback(*args)`` at ``max(time, now)`` (hot path).
 
-        The access path's one scheduling call: a ``time`` at or before
-        ``now`` is clamped to the present and goes to the same-cycle lane,
-        a later one to the heap.  The compiled core's ``_sched`` has the
-        same signature and routing.
+        The fire-and-forget insert: a ``time`` at or before ``now`` is
+        clamped to the present and goes to the same-cycle lane, a later
+        one to the heap.  The compiled core's ``_sched`` has the same
+        signature and routing.
         """
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        later = time > now
-        if not later:
-            time = now
-        if pool:
-            entry = pool.pop()
-            entry[0] = time
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = callback
-            entry[4] = args
+        if time > now:
+            _heappush(self._heap, [time, 0, seq, callback, args, None])
         else:
-            entry = [time, 0, seq, callback, args, None]
-        if later:
-            _heappush(self._heap, entry)
-        else:
-            self._lane.append(entry)
+            self._lane.append([now, 0, seq, callback, args, None])
         self._live += 1
 
     # ------------------------------------------------------------------
-    # Draining
+    # Inspection
     # ------------------------------------------------------------------
 
     def _skip_cancelled_heads(self) -> None:
@@ -261,7 +204,7 @@ class EventQueue:
         while heap:
             event = heap[0][5]
             if event is not None and event.cancelled:
-                self._recycle(heapq.heappop(heap))
+                heapq.heappop(heap)
                 self._cancelled -= 1
             else:
                 break
@@ -269,41 +212,10 @@ class EventQueue:
         while lane:
             event = lane[0][5]
             if event is not None and event.cancelled:
-                self._recycle(lane.popleft())
+                lane.popleft()
                 self._cancelled -= 1
             else:
                 break
-
-    def _pop_entry(self) -> Optional[list]:
-        """Remove and return the earliest live entry, or None."""
-        self._skip_cancelled_heads()
-        heap = self._heap
-        lane = self._lane
-        if lane:
-            if heap and heap[0] < lane[0]:
-                entry = heapq.heappop(heap)
-            else:
-                entry = lane.popleft()
-        elif heap:
-            entry = heapq.heappop(heap)
-        else:
-            return None
-        self._live -= 1
-        return entry
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event, or None."""
-        entry = self._pop_entry()
-        if entry is None:
-            return None
-        event = entry[5]
-        if event is None:
-            event = Event(entry[0], entry[3], entry[4], entry[1])
-            event.seq = entry[2]
-        else:
-            event._queue = None
-        self._recycle(entry)
-        return event
 
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the earliest live event, or None."""
@@ -320,40 +232,10 @@ class EventQueue:
 
     def snapshot(self, limit: int = 20) -> list[Event]:
         """The earliest ``limit`` live events, in firing order (diagnostics)."""
-        entries = [e for e in self._heap if _is_live(e)]
-        entries.extend(e for e in self._lane if _is_live(e))
-        entries.sort()
-        out = []
-        for entry in entries[:limit]:
-            event = entry[5]
-            if event is None:
-                event = Event(entry[0], entry[3], entry[4], entry[1])
-                event.seq = entry[2]
-            out.append(event)
-        return out
+        return _earliest_events(self._heap, self._lane, limit)
 
     def __len__(self) -> int:
         return self._live
 
     def __bool__(self) -> bool:
         return self._live > 0
-
-    # ------------------------------------------------------------------
-    # State capture (snapshot/fork support)
-    # ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle everything observable; drop the free pool.
-
-        Pooled entries are recycled storage whose contents can never be
-        observed again, so a restored queue starts with an empty pool:
-        entry allocation order is not part of simulation state, and
-        scheduling behaviour is byte-identical either way.
-        """
-        state = self.__dict__.copy()
-        state["_pool"] = []
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._pool = []

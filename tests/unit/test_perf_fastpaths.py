@@ -3,8 +3,8 @@
 Covers the surfaces the fast paths added or changed:
 
 * ``Engine.post`` / ``post_at`` — the no-handle scheduling fast path.
-* Event-queue internals: the same-cycle FIFO lane, the entry pool, O(1)
-  ``len``/``bool``, and lazy compaction of cancelled events.
+* Event-queue internals: O(1) ``len``/``bool``, ``snapshot`` and lazy
+  compaction of cancelled events.
 * Power-of-two set indexing (``set_mask``) validated at config time.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from repro.config.system import CacheConfig, TLBConfig
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.event import _POOL_MAX, EventQueue
+from repro.sim.event import Event, EventQueue
 
 
 def _noop(*args):
@@ -87,71 +87,42 @@ class TestPostFastPath:
 
 
 # ---------------------------------------------------------------------------
-# EventQueue internals: lane, pool, O(1) len, compaction
+# EventQueue internals: O(1) len, snapshot, compaction
 # ---------------------------------------------------------------------------
 
 class TestQueueInternals:
     def test_len_is_tracked_not_recounted(self):
-        q = EventQueue()
+        engine = Engine()
+        q = engine._queue
         for i in range(10):
-            q.push_entry(float(i), 0, _noop, ())
+            q._sched(0.0, float(i + 1), _noop, ())
         assert len(q) == 10 == q._live
-        q.pop()
+        engine.run(max_events=1)
         assert len(q) == 9 == q._live
 
-    def test_pool_recycles_executed_entries(self):
-        engine = Engine()
-        for i in range(20):
-            engine.post(float(i), _noop)
-        engine.run()
-        pool = engine._queue._pool
-        assert len(pool) == 20
-        # Recycled entries must not pin callbacks/args/events alive.
-        assert all(e[3] is None and e[4] is None and e[5] is None
-                   for e in pool)
-
-    def test_pool_is_bounded(self):
-        engine = Engine()
-        n = _POOL_MAX + 100
-        for i in range(n):
-            engine.post(float(i), _noop)
-        engine.run()
-        assert engine.events_executed == n
-        assert len(engine._queue._pool) <= _POOL_MAX
-
-    def test_pooled_entries_are_reused(self):
-        engine = Engine()
-        engine.post(1.0, _noop)
-        engine.run()
-        recycled = engine._queue._pool[-1]
-        fired = []
-        engine.post(1.0, fired.append, "again")
-        assert engine._queue._heap[0] is recycled
-        engine.run()
-        assert fired == ["again"]
-
     def test_cancelled_backlog_is_compacted(self):
-        from repro.sim.event import Event
-        q = EventQueue()
-        events = [Event(float(i), _noop) for i in range(64)]
+        engine = Engine()
+        q = engine._queue
+        fired = []
+        events = [Event(float(i), fired.append, (i,)) for i in range(64)]
         for e in events:
-            q.push(e)
+            q.push(e, False)
         for e in events[1:]:  # cancel everything except the head
             e.cancel()
         # Lazy compaction keeps the heap from growing without bound.
         assert len(q) == 1
         assert len(q._heap) < 64
-        assert q.pop() is events[0]
-        assert q.pop() is None
+        engine.run()
+        assert fired == [0]
+        assert len(q) == 0
 
     def test_snapshot_orders_and_skips_cancelled(self):
-        from repro.sim.event import Event
         q = EventQueue()
         keep = Event(2.0, _noop)
         drop = Event(1.0, _noop)
-        q.push(keep)
-        q.push(drop)
-        q.push_entry(3.0, 0, _noop, ())
+        q.push(keep, False)
+        q.push(drop, False)
+        q._sched(0.0, 3.0, _noop, ())
         drop.cancel()
         times = [e.time for e in q.snapshot(10)]
         assert times == [2.0, 3.0]
